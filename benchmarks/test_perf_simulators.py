@@ -6,13 +6,13 @@ and the timing model.  They exist so performance regressions in the
 hot loops show up in `pytest benchmarks/ --benchmark-only`.
 
 ``test_perf_kernels_sweep`` additionally writes ``BENCH_kernels.json``
-at the repo root: cold/hot kernel timings per backend plus the
-legacy-vs-fused analysis/sweep comparison (see ``docs/architecture.md``
-for the layer this measures).
+at the repo root: cold/hot kernel timings per backend (see
+``docs/architecture.md`` for the layer this measures).
 """
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -76,34 +76,24 @@ def test_perf_elimination_simulator(benchmark, traced):
 
 
 # ---------------------------------------------------------------------
-# Kernel layer: fused pass + sweep executor vs the legacy structure
+# Kernel layer: fused pass + shared prediction stream
 # ---------------------------------------------------------------------
 
-#: sweep points sharing one trace (F6 evaluates six predictor designs)
-SWEEP_POINTS = 6
-
-
-def _best_of(fn, rounds=3):
-    best = None
+def _median_of(fn, rounds=3, warmup=1):
+    for _ in range(warmup):
+        fn()
+    samples = []
     for _ in range(rounds):
         started = time.perf_counter()
         fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples)
 
 
 def _time_backend(backend, trace, analysis):
-    """Cold/hot kernel timings plus the legacy-vs-fused comparison
-    for one backend over one labelled trace.
-
-    *legacy* reproduces the pre-kernel structure: every analysis
-    consumer re-derives the static-index column and makes its own
-    walk (deadness, kill distance, per-static counts), and every
-    sweep point re-extracts its event stream from the full trace.
-    *fused* is the kernel-layer structure: decode once, one fused
-    backward pass, one shared prediction stream for all sweep points.
-    """
+    """Cold/hot kernel timings for one backend over one labelled trace:
+    one fused backward pass plus the prediction stream every sweep
+    point shares."""
     dead = analysis.dead
 
     def decode():
@@ -121,26 +111,9 @@ def _time_backend(backend, trace, analysis):
         backend.fused(decoded)
         backend.prediction_stream(decoded, dead)
 
-    def legacy():
-        backend.deadness(decode())
-        backend.kill_distances(decode(), dead)
-        backend.static_counts(decode(), dead)
-        for _point in range(SWEEP_POINTS):
-            backend.prediction_stream(decode(), dead)
-
-    def fused():
-        fresh = decode()
-        backend.fused(fresh)
-        backend.prediction_stream(fresh, dead)
-
-    legacy_s = _best_of(legacy)
-    fused_s = _best_of(fused)
     return {
-        "cold_s": round(_best_of(cold), 6),
-        "hot_s": round(_best_of(hot), 6),
-        "legacy_sweep_s": round(legacy_s, 6),
-        "fused_sweep_s": round(fused_s, 6),
-        "speedup": round(legacy_s / fused_s, 3),
+        "cold_s": round(_median_of(cold), 6),
+        "hot_s": round(_median_of(hot), 6),
     }
 
 
@@ -149,7 +122,6 @@ def test_perf_kernels_sweep(benchmark, traced):
     doc = {
         "workload": trace.program.name,
         "dynamic": len(trace),
-        "sweep_points": SWEEP_POINTS,
         "backends": {},
     }
     for name in kernels.available_backends():
@@ -171,7 +143,3 @@ def test_perf_kernels_sweep(benchmark, traced):
 
     total = benchmark.pedantic(run, rounds=3, iterations=1)
     assert total > 0
-    for name, timings in doc["backends"].items():
-        assert timings["speedup"] >= 2.0, \
-            "fused+sweep path under 2x on backend %r: %r" % (name,
-                                                             timings)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -17,6 +18,10 @@ OPERATORS = (
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
+
+#: identifiers are ``[A-Za-z_][A-Za-z0-9_]*``
+IDENT_START = frozenset(string.ascii_letters + "_")
+IDENT_CHARS = IDENT_START | frozenset(string.digits)
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,9 @@ def _tokens(source: str) -> Iterator[Token]:
                 position += 1
             yield Token("num", int(source[start:position]), line)
             continue
-        if char.isalpha() or char == "_":
+        if char in IDENT_START:  # ASCII only: isalpha() admits Unicode
             start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] == "_"):
+            while position < length and source[position] in IDENT_CHARS:
                 position += 1
             name = source[start:position]
             if name in KEYWORDS:

@@ -42,6 +42,28 @@ def block_use_def(block: Block) -> Tuple[Set[VReg], Set[VReg]]:
     return uses, defs
 
 
+def update_after_hoist(liveness: LivenessInfo, block: Block,
+                       arm: Block) -> None:
+    """Refresh *liveness* after instructions moved from *arm* to the end
+    of *block*, the arm's only predecessor.
+
+    Only two sets change: ``live_in(arm)``, from the arm's new use/def
+    and its unchanged live-out, and ``live_out(block)``.  A moved def
+    was live into neither arm, is not read by the terminator and is now
+    killed inside *block*; every moved use was already live out of
+    *block* or is defined earlier in it.  So ``live_in(block)`` -- and
+    with it every other block's sets -- stays as it was, and the result
+    equals a full :func:`compute_liveness` of the changed function.
+    """
+    uses, defs = block_use_def(arm)
+    liveness.live_in[arm.label] = uses | (liveness.live_out[arm.label]
+                                          - defs)
+    out: Set[VReg] = set()
+    for successor in block.successors():
+        out |= liveness.live_in[successor]
+    liveness.live_out[block.label] = out
+
+
 def compute_liveness(function: IRFunction) -> LivenessInfo:
     """Iterate the backward dataflow to a fixpoint."""
     use: Dict[str, FrozenSet[VReg]] = {}

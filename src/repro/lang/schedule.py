@@ -50,7 +50,7 @@ from repro.lang.ir import (
     LoadGlobal,
     VReg,
 )
-from repro.lang.liveness import compute_liveness
+from repro.lang.liveness import compute_liveness, update_after_hoist
 
 #: Provenance tag attached to every hoisted instruction.
 SCHED_TAG = "sched"
@@ -85,10 +85,16 @@ def _hoistable(instr, options: ScheduleOptions) -> bool:
 
 def hoist_function(function: IRFunction,
                    options: ScheduleOptions) -> ScheduleStats:
-    """Run speculative hoisting over one function, in place."""
+    """Run speculative hoisting over one function, in place.
+
+    Liveness is solved once; each hoist then refreshes only the two sets
+    it changes (:func:`update_after_hoist`), so the sets every arm sees
+    equal a full re-solve at that point.
+    """
     stats = ScheduleStats()
     blocks = function.block_map()
     predecessors = function.predecessors()
+    liveness = compute_liveness(function)
 
     for block in function.blocks:
         terminator = block.terminator
@@ -103,14 +109,11 @@ def hoist_function(function: IRFunction,
             if len(predecessors[arm_label]) != 1:
                 continue
             arm = blocks[arm_label]
-            # Liveness is recomputed per arm: each hoist changes the
-            # sets, and these functions are small enough that the
-            # quadratic cost is irrelevant.
-            liveness = compute_liveness(function)
-            live_in_other = liveness.live_in[other_label]
-            live_in_arm = liveness.live_in[arm_label]
-            hoisted = _hoist_prefix(block, arm, branch_uses, live_in_other,
-                                    live_in_arm, options)
+            hoisted = _hoist_prefix(block, arm, branch_uses,
+                                    liveness.live_in[other_label],
+                                    liveness.live_in[arm_label], options)
+            if hoisted:
+                update_after_hoist(liveness, block, arm)
             stats.instructions_hoisted += hoisted
     return stats
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lang import compile_source
 from repro.lang.errors import CompileError
 from repro.lang.lexer import Token, tokenize
 
@@ -57,6 +58,23 @@ def test_unterminated_block_comment():
 def test_unexpected_character():
     with pytest.raises(CompileError):
         tokenize("a $ b")
+
+
+@pytest.mark.parametrize("source, line", [
+    # Unicode letters used to lex as identifiers and only failed later,
+    # in the assembler.
+    ("int é = 1; void main() { print(é); }", 1),
+    ("int x;\nvoid main() {\n  x² = 1;\n}", 3),
+])
+def test_non_ascii_identifier_rejected(source, line):
+    with pytest.raises(CompileError) as info:
+        compile_source(source)
+    assert info.value.line == line
+
+
+def test_ascii_identifier_characters():
+    tokens = tokenize("_a1 Z_9z")
+    assert [t.value for t in tokens[:-1]] == ["_a1", "Z_9z"]
 
 
 def test_eof_token():

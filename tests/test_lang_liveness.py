@@ -11,7 +11,11 @@ from repro.lang.ir import (
     Ret,
     VReg,
 )
-from repro.lang.liveness import block_use_def, compute_liveness
+from repro.lang.liveness import (
+    block_use_def,
+    compute_liveness,
+    update_after_hoist,
+)
 
 
 def _diamond():
@@ -71,6 +75,22 @@ def test_loop_liveness():
     assert i in liveness.live_in["head"]
     assert i in liveness.live_out["body"]   # back edge
     assert i in liveness.live_in["exit"]
+
+
+def test_update_after_hoist_matches_full_solve():
+    """Moving right's ``b = 2`` above the branch (the canonical
+    partially dead hoist) changes live_in(right) and live_out(entry);
+    the local update must land on the full re-solve."""
+    function, a, b = _diamond()
+    liveness = compute_liveness(function)
+    entry, _, right, _ = function.blocks
+    entry.instrs.append(right.instrs.pop(0))
+    update_after_hoist(liveness, entry, right)
+    resolved = compute_liveness(function)
+    assert liveness.live_in == resolved.live_in
+    assert liveness.live_out == resolved.live_out
+    assert b in liveness.live_in["right"]
+    assert liveness.live_in["entry"] == set()
 
 
 def test_dead_def_not_live():

@@ -1,12 +1,26 @@
 """The speculative-hoisting scheduler: it must move code, tag it, and
 never change program behaviour."""
 
+import itertools
+
+import pytest
+
 from repro.emulator import run_program
 from repro.lang import CompilerOptions, compile_to_program
+from repro.lang import schedule
+from repro.lang.codegen import generate_module
 from repro.lang.ir import CondBr, Load
+from repro.lang.liveness import compute_liveness
 from repro.lang.lower import lower_program
+from repro.lang.optimize import optimize_module
 from repro.lang.parser import parse
-from repro.lang.schedule import ScheduleOptions, hoist_module
+from repro.lang.schedule import (
+    ScheduleOptions,
+    ScheduleStats,
+    _hoist_prefix,
+    hoist_module,
+)
+from repro.workloads import get_workload, workload_names
 
 DIAMOND = """
 int data[4] = {10, 20, 30, 40};
@@ -155,3 +169,106 @@ def test_aggressive_hoisting_preserves_semantics():
         machine_base, _ = run_program(baseline)
         machine_opt, _ = run_program(optimized)
         assert machine_base.output == machine_opt.output
+
+
+# ---------------------------------------------------------------------
+# The pass solves liveness once per function; this is the per-arm
+# re-solve it replaced, kept as the reference it must agree with.
+# ---------------------------------------------------------------------
+
+def reference_hoist_function(function, options):
+    stats = ScheduleStats()
+    blocks = function.block_map()
+    predecessors = function.predecessors()
+    for block in function.blocks:
+        terminator = block.terminator
+        if not isinstance(terminator, CondBr):
+            continue
+        stats.branches_seen += 1
+        branch_uses = set(terminator.uses())
+        arms = (terminator.if_true, terminator.if_false)
+        for arm_label, other_label in (arms, arms[::-1]):
+            if arm_label == other_label:
+                continue
+            if len(predecessors[arm_label]) != 1:
+                continue
+            liveness = compute_liveness(function)
+            stats.instructions_hoisted += _hoist_prefix(
+                block, blocks[arm_label], branch_uses,
+                liveness.live_in[other_label], liveness.live_in[arm_label],
+                options)
+    return stats
+
+
+#: every (branchiness, bias) cell at sizes up to n100; the largest,
+#: most branchy programs are left out to keep the reference affordable
+GENERATED = ["gen:s%d:n%d:b%d:d30:p%d" % ((seed,) + cell)
+             for seed, cell in enumerate(itertools.product(
+                 (15, 30, 50, 100), (20, 40, 60), (95, 50)), start=1)][:20]
+
+OPTION_SETS = {
+    "default": CompilerOptions(),
+    "max_hoist=1": CompilerOptions(max_hoist=1),
+    "max_hoist=8": CompilerOptions(max_hoist=8),
+    "hoist_loads": CompilerOptions(hoist_loads=True),
+    "scalar_opt": CompilerOptions(scalar_opt=True),
+}
+
+
+def _schedule(source, options):
+    """compile_source, also returning the scheduler's ScheduleStats."""
+    module = lower_program(parse(source))
+    if options.scalar_opt:
+        optimize_module(module)
+    stats = hoist_module(module, ScheduleOptions(
+        max_hoist=options.max_hoist, hoist_loads=options.hoist_loads))
+    return generate_module(module), stats
+
+
+@pytest.mark.parametrize("name", GENERATED + workload_names())
+def test_matches_per_arm_liveness_resolve(name, monkeypatch):
+    source = get_workload(name).source(1.0)
+    for label, options in OPTION_SETS.items():
+        actual = _schedule(source, options)
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule, "hoist_function",
+                          reference_hoist_function)
+            expected = _schedule(source, options)
+        assert actual == expected, (name, label)
+
+
+def test_local_updates_match_full_resolve(monkeypatch):
+    """After every hoist, the locally updated sets equal a full solve."""
+    real_update = schedule.update_after_hoist
+    checked = []
+
+    def checking_update(liveness, block, arm):
+        real_update(liveness, block, arm)
+        resolved = compute_liveness(function)
+        assert liveness.live_in == resolved.live_in
+        assert liveness.live_out == resolved.live_out
+        checked.append(arm.label)
+
+    monkeypatch.setattr(schedule, "update_after_hoist", checking_update)
+    for name in GENERATED[:6] + ["qsort", "board"]:
+        module = lower_program(parse(get_workload(name).source(1.0)))
+        for function in module.functions:
+            schedule.hoist_function(function, ScheduleOptions(max_hoist=8))
+    assert len(checked) > 50
+
+
+def test_liveness_solved_once_per_function(monkeypatch):
+    """The per-arm re-solve made compile time quadratic in program
+    size; it must not come back."""
+    calls = []
+
+    def counting(function):
+        calls.append(function.name)
+        return compute_liveness(function)
+
+    monkeypatch.setattr(schedule, "compute_liveness", counting)
+    module = lower_program(parse(get_workload(
+        "gen:s3:n100:b60:d30:p50").source(1.0)))
+    stats = hoist_module(module, ScheduleOptions())
+    assert stats.branches_seen > 20 and stats.instructions_hoisted > 0
+    assert sorted(calls) == sorted(f.name for f in module.functions)
