@@ -10,8 +10,8 @@ geometries) under 3 seed repetitions and checks:
 2. the JSON and CSV exports carry every cell with rep/seed columns;
 3. **byte-identity** — the rendered output (canonical table AND stats
    tables) is identical between a cold serial run, a hot ``--jobs 2``
-   run, and a run on the ``batched`` kernel backend; the exported
-   documents agree after stripping wall-time fields.
+   run, and a run on the ``columnar`` kernel backend (NumPy required);
+   the exported documents agree after stripping wall-time fields.
 
 Run from the repository root::
 
@@ -70,7 +70,7 @@ def main() -> None:
     cache = os.path.join(workdir, "cache")
     cold_json = os.path.join(workdir, "cold.json")
     hot_json = os.path.join(workdir, "hot.json")
-    batched_json = os.path.join(workdir, "batched.json")
+    columnar_json = os.path.join(workdir, "columnar.json")
 
     print("== leg 1: cold cache, serial ==")
     cold = run_table(cache, cold_json, "--jobs", "1")
@@ -117,16 +117,16 @@ def main() -> None:
              "hot-parallel runs")
     print("byte-identical rendered output (cold/serial vs hot/--jobs 2)")
 
-    print("== leg 3: batched kernel backend ==")
-    batched = run_table(cache, batched_json, "--jobs", "2",
-                        "--backend", "batched")
-    if batched != cold:
-        fail("rendered output differs between python and batched "
+    print("== leg 3: columnar kernel backend ==")
+    columnar = run_table(cache, columnar_json, "--jobs", "2",
+                         "--backend", "columnar")
+    if columnar != cold:
+        fail("rendered output differs between python and columnar "
              "backends")
     print("byte-identical rendered output across kernel backends")
 
     documents = []
-    for path in (cold_json, hot_json, batched_json):
+    for path in (cold_json, hot_json, columnar_json):
         with open(path) as stream:
             documents.append(scrub(json.load(stream)))
     if not (documents[0] == documents[1] == documents[2]):

@@ -28,8 +28,8 @@ memory liveness map.  Because consumers appear after producers in the
 trace, one backward pass computes transitive deadness exactly.
 
 The pass itself lives in the kernel layer (:mod:`repro.kernels` — the
-``python`` backend is the reference implementation, the ``batched``
-backend the bulk-operation one) and runs *fused*: kill distances and
+``python`` backend is the reference implementation, the ``columnar``
+backend the NumPy one) and runs *fused*: kill distances and
 per-static instance counters are computed in the same backward walk, so
 :func:`~repro.analysis.distance.kill_distances` and
 :func:`~repro.analysis.classify.classify_statics` on a freshly analyzed

@@ -573,10 +573,12 @@ def store_trace_bundle(plane: ArtifactPlane, key: str, program,
                        addrs: Sequence[int],
                        output: Sequence[object]
                        ) -> Optional[ArtifactHandle]:
-    """Persist one trace's dynamic columns plus every derived kernel
-    column the columnar backend can precompute (static indices, word
-    addresses, the sorted read/write-successor key indexes, and the
-    front end's control/cond-prefix streams)."""
+    """Persist one trace's dynamic columns plus its static indices.
+    Under the ``columnar`` backend the bundle also carries the derived
+    kernel columns that backend hydrates (word addresses and the sorted
+    read/write-successor key indexes); bundle keys include the backend
+    fingerprint, so no other backend ever reads them."""
+    from repro import kernels
     from repro.analysis.statics import StaticTable
     from repro.emulator.trace import Trace
     from repro.kernels import columnar
@@ -592,7 +594,9 @@ def store_trace_bundle(plane: ArtifactPlane, key: str, program,
         ("sidx", "i8", i8_bytes(trace.static_indices())),
         ("out", "u1", pickle.dumps(list(output), protocol=2)),
     ]
-    columns.extend(columnar.plane_columns(trace, StaticTable(program)))
+    if kernels.default_backend_name() == "columnar":
+        columns.extend(columnar.plane_columns(trace,
+                                              StaticTable(program)))
     return plane.store(key, "trace", len(trace.pcs), columns)
 
 

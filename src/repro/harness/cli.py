@@ -92,7 +92,10 @@ def _positive_int(name: str):
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    defaults = config_from_env()
+    try:
+        defaults = config_from_env()
+    except ValueError as exc:
+        parser.error(str(exc))
     parser.add_argument("--jobs", type=int, default=defaults.jobs,
                         metavar="N",
                         help="worker processes for independent cells "

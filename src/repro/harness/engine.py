@@ -141,14 +141,24 @@ def _env_float(name: str, default: str) -> float:
             "%s must be a number, got %r" % (name, text))
 
 
+def _env_backend() -> str:
+    name = os.environ.get("REPRO_BACKEND", "")
+    if name and name not in kernels.available_backends():
+        raise ValueError(
+            "REPRO_BACKEND must be one of %s; got %r"
+            % (", ".join(kernels.available_backends()), name))
+    return name
+
+
 def config_from_env() -> EngineConfig:
     """Engine defaults, overridable through environment variables
     (``REPRO_JOBS``, ``REPRO_CACHE=0``, ``REPRO_CACHE_DIR``,
     ``REPRO_CELL_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
     ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``,
     ``REPRO_BATCH_CELLS=0``) so embeddings like pytest
-    pick them up without plumbing flags.  Malformed numeric values
-    raise ``ValueError`` naming the offending variable."""
+    pick them up without plumbing flags.  Malformed numeric values and
+    unknown backend names raise ``ValueError`` naming the offending
+    variable."""
     return EngineConfig(
         jobs=_env_int("REPRO_JOBS", "1"),
         cache=os.environ.get("REPRO_CACHE", "1") != "0",
@@ -157,7 +167,7 @@ def config_from_env() -> EngineConfig:
         retries=_env_int("REPRO_RETRIES", "1"),
         retry_backoff=_env_float("REPRO_RETRY_BACKOFF", "0.05"),
         partial=os.environ.get("REPRO_PARTIAL", "0") == "1",
-        backend=os.environ.get("REPRO_BACKEND", ""),
+        backend=_env_backend(),
         artifacts=os.environ.get("REPRO_ARTIFACTS", "1") != "0",
         batch_cells=os.environ.get("REPRO_BATCH_CELLS", "1") != "0",
     )

@@ -7,12 +7,10 @@ columns, behind a backend registry:
 
 * ``python``  — the reference backend (:mod:`repro.kernels.ref`), the
   byte-exact port of the original per-consumer loops;
-* ``batched`` — bulk column operations (:mod:`repro.kernels.batched`),
-  byte-identical by contract and enforced by the property suite;
 * ``columnar`` — NumPy array operations
   (:mod:`repro.kernels.columnar`); registered only when the optional
-  NumPy dependency is importable (``HAVE_NUMPY``), same byte-identity
-  contract.
+  NumPy dependency is importable (``HAVE_NUMPY``), byte-identical by
+  contract and enforced by the property suite.
 
 Select a backend with ``REPRO_BACKEND=<name>``, the engine's
 ``--backend`` flag / :class:`~repro.harness.engine.EngineConfig`, or
@@ -35,7 +33,6 @@ from typing import Optional
 from repro.kernels.base import (
     DeadnessColumns,
     DecodedTrace,
-    FrontendColumns,
     FusedColumns,
     KernelBackend,
     KillColumns,
@@ -50,12 +47,10 @@ from repro.kernels.base import (
     reset_pass_totals,
     set_default_backend,
 )
-from repro.kernels.batched import BatchedBackend
 from repro.kernels.columnar import HAVE_NUMPY
 from repro.kernels.ref import PythonBackend
 
 register_backend(PythonBackend())
-register_backend(BatchedBackend())
 if HAVE_NUMPY:
     from repro.kernels.columnar import ColumnarBackend
 
@@ -64,7 +59,6 @@ if HAVE_NUMPY:
 __all__ = [
     "DeadnessColumns",
     "DecodedTrace",
-    "FrontendColumns",
     "FusedColumns",
     "HAVE_NUMPY",
     "KernelBackend",

@@ -15,11 +15,7 @@ byte-identical** results:
 * ``static_counts`` / ``kill_distances`` — label-consuming walks for
   analyses reconstructed from cached deadness labels;
 * ``prediction_stream`` — the per-PC event stream (eligible instances
-  and conditional branches) that predictor evaluation walks;
-* ``frontend``       — the pipeline decode block: per-dynamic gathered
-  operand/memory/FU columns plus the control-transfer event stream
-  (:class:`FrontendColumns`) that the timing simulator's block-wise
-  front end consumes instead of per-instruction table dispatch.
+  and conditional branches) that predictor evaluation walks.
 
 Canonical-form rules (what "byte-identical" means across backends):
 kill distances are ordered by the *dead write's* dynamic index
@@ -46,7 +42,6 @@ from repro import obs
 __all__ = [
     "DeadnessColumns",
     "DecodedTrace",
-    "FrontendColumns",
     "FusedColumns",
     "KernelBackend",
     "KillColumns",
@@ -152,41 +147,6 @@ class PredictionStream:
         return len(self.eligible_index) + len(self.branch_index)
 
 
-@dataclass
-class FrontendColumns:
-    """The pipeline front end's pre-decoded column block.
-
-    Per-dynamic gathers of the static fact tables (one indexed lookup
-    per column in the cycle loop instead of a ``table[sidx[tidx]]``
-    double dispatch) plus the two derived event streams the block-wise
-    fetch stage needs: the control-transfer positions (where fetch
-    groups can end) and the running conditional-branch count (so a
-    fetched block updates the branch counter with one subtraction).
-
-    Canonical form: every column is a plain Python list with the exact
-    element types of the per-static tables (``int`` registers/FU
-    classes, ``bool`` flags); ``control_index`` is ascending and
-    ``cond_prefix`` has ``len(trace) + 1`` entries with
-    ``cond_prefix[0] == 0``.
-    """
-
-    dest: Sequence[int]
-    src1: Sequence[int]
-    src2: Sequence[int]
-    is_load: Sequence[bool]
-    is_store: Sequence[bool]
-    eligible: Sequence[bool]
-    #: function-unit class per dynamic instruction (the caller supplies
-    #: the per-static classification; the kernel only gathers it)
-    fu: Sequence[int]
-    #: dynamic indices of control transfers (branches *and* jumps),
-    #: ascending — the only places a fetch group can end
-    control_index: Sequence[int] = field(default_factory=list)
-    #: ``cond_prefix[i]`` = conditional branches among the first *i*
-    #: dynamic instructions (length ``n + 1`` prefix sums)
-    cond_prefix: Sequence[int] = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------
 # Pass timing
 # ---------------------------------------------------------------------
@@ -288,17 +248,6 @@ class KernelBackend:
                      time.perf_counter() - started)
         return result
 
-    def frontend(self, decoded: DecodedTrace,
-                 fu: Sequence[int]) -> FrontendColumns:
-        """The pipeline decode block for *decoded*; *fu* is the
-        caller's per-static function-unit classification (gathered
-        alongside the static fact tables)."""
-        started = time.perf_counter()
-        result = self._frontend(decoded, fu)
-        _record_pass(self.name, "frontend", len(decoded),
-                     time.perf_counter() - started)
-        return result
-
     # -- backend implementations --------------------------------------
 
     def _static_indices(self, trace) -> Sequence[int]:
@@ -322,10 +271,6 @@ class KernelBackend:
 
     def _prediction_stream(self, decoded: DecodedTrace,
                            dead: Sequence[bool]) -> PredictionStream:
-        raise NotImplementedError
-
-    def _frontend(self, decoded: DecodedTrace,
-                  fu: Sequence[int]) -> FrontendColumns:
         raise NotImplementedError
 
 

@@ -3,7 +3,7 @@ micro-op table.
 
 Registered only when NumPy is importable (``HAVE_NUMPY``) — NumPy is
 an *optional* dependency; without it the registry simply never offers
-this backend and every consumer falls back to ``python``/``batched``.
+this backend and every consumer falls back to ``python``.
 
 The backward deadness dataflow is inherently sequential (every label
 depends on state mutated by younger instructions), so chasing it with
@@ -25,8 +25,7 @@ array ops cannot work.  Instead the work is *split*:
     killer of a dead write *is* its successor in the per-register
     write sequence);
   - per-static counters are ``numpy.bincount``;
-  - the prediction stream and the pipeline front-end block are mask /
-    gather / prefix-sum one-liners.
+  - the prediction stream is a mask / gather one-liner.
 
 Results are canonicalized back to plain Python lists and scalars with
 ``.tolist()`` / ``int()`` so they are **byte-identical** (pickle-equal,
@@ -47,7 +46,6 @@ from repro.isa.program import TEXT_BASE
 from repro.kernels.base import (
     DeadnessColumns,
     DecodedTrace,
-    FrontendColumns,
     FusedColumns,
     KernelBackend,
     KillColumns,
@@ -107,8 +105,6 @@ class _Arrays:
                                    dtype=bool)[self.sidx]
         self.cond = np.asarray(statics.is_cond_branch,
                                dtype=bool)[self.sidx]
-        self.control = np.asarray(statics.is_branch,
-                                  dtype=bool)[self.sidx]
         #: the attached artifact bundle, if any (read-only views)
         self.bundle = bundle
         #: plain-list mirrors for the sequential labeling loop (scalar
@@ -274,31 +270,6 @@ class ColumnarBackend(KernelBackend):
             branch_index=b_idx.tolist(),
             branch_taken=arrays.taken[b_idx].tolist())
 
-    def _frontend(self, decoded: DecodedTrace,
-                  fu: Sequence[int]) -> FrontendColumns:
-        arrays = _arrays(decoded)
-        fu_col = np.asarray(fu, dtype=np.int64)[arrays.sidx]
-        bundle = arrays.bundle
-        if bundle is not None and bundle.has("control_index") \
-                and bundle.has("cond_prefix"):
-            control_index = bundle.array("control_index").tolist()
-            cond_prefix = bundle.array("cond_prefix").tolist()
-        else:
-            prefix = np.zeros(arrays.n + 1, dtype=np.int64)
-            np.cumsum(arrays.cond, out=prefix[1:])
-            control_index = np.flatnonzero(arrays.control).tolist()
-            cond_prefix = prefix.tolist()
-        return FrontendColumns(
-            dest=arrays.dest.tolist(),
-            src1=arrays.src1.tolist(),
-            src2=arrays.src2.tolist(),
-            is_load=arrays.load.tolist(),
-            is_store=arrays.store.tolist(),
-            eligible=arrays.eligible.tolist(),
-            fu=fu_col.tolist(),
-            control_index=control_index,
-            cond_prefix=cond_prefix)
-
     # -- labeling -----------------------------------------------------
 
     def _label(self, arrays: "_Arrays", track_stores: bool):
@@ -405,37 +376,15 @@ class ColumnarBackend(KernelBackend):
 
 def plane_columns(trace, statics):
     """The derived kernel columns the artifact plane persists next to
-    the raw trace columns: word addresses, the sorted read and
-    write-successor key indexes (shared by the direct-label and
-    kill-distance queries), and the front end's control/cond-prefix
-    event streams.  Everything here is a deterministic function of the
-    trace, so hydrating the stored arrays is byte-identical to
-    deriving them.  Without NumPy only the front-end event streams are
-    written (stdlib derivation — they are the ones the list backends
-    can hydrate); the key indexes are columnar-only detail."""
-    from repro.kernels.base import DecodedTrace
-
-    if np is None:
-        from itertools import accumulate, chain, compress
-
-        sidx = trace.static_indices()
-        from repro.harness.artifacts import i8_bytes
-
-        control_col = list(map(statics.is_branch.__getitem__, sidx))
-        cond_col = list(map(statics.is_cond_branch.__getitem__, sidx))
-        return [
-            ("control_index", "i8", i8_bytes(
-                list(compress(range(len(sidx)), control_col)))),
-            ("cond_prefix", "i8", i8_bytes(
-                list(accumulate(chain((0,), map(int, cond_col)))))),
-        ]
-
+    the raw trace columns when this backend is active: word addresses
+    and the sorted read and write-successor key indexes (shared by the
+    direct-label and kill-distance queries).  Everything here is a
+    deterministic function of the trace, so hydrating the stored
+    arrays is byte-identical to deriving them."""
     decoded = DecodedTrace(trace=trace, statics=statics,
                            sidx=trace.static_indices())
     arrays = _Arrays(decoded)
     wkeys, wpos, wreg = arrays.reg_write_keys()
-    prefix = np.zeros(arrays.n + 1, dtype=np.int64)
-    np.cumsum(arrays.cond, out=prefix[1:])
 
     def raw(values):
         return np.ascontiguousarray(
@@ -447,8 +396,6 @@ def plane_columns(trace, statics):
         ("write_keys", "i8", raw(wkeys)),
         ("write_pos", "i8", raw(wpos)),
         ("write_reg", "i8", raw(wreg)),
-        ("control_index", "i8", raw(np.flatnonzero(arrays.control))),
-        ("cond_prefix", "i8", raw(prefix)),
     ]
 
 

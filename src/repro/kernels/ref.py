@@ -31,7 +31,6 @@ from repro.isa.registers import NUM_REGS
 from repro.kernels.base import (
     DeadnessColumns,
     DecodedTrace,
-    FrontendColumns,
     FusedColumns,
     KernelBackend,
     KillColumns,
@@ -124,48 +123,6 @@ class PythonBackend(KernelBackend):
                 b_index.append(i)
                 b_taken.append(taken[i])
         return stream
-
-    def _frontend(self, decoded: DecodedTrace,
-                  fu: Sequence[int]) -> FrontendColumns:
-        sidx = decoded.sidx
-        statics = decoded.statics
-        s_dest = statics.dest
-        s_src1 = statics.src1
-        s_src2 = statics.src2
-        s_load = statics.is_load
-        s_store = statics.is_store
-        s_eligible = statics.eligible
-        s_control = statics.is_branch
-        s_cond = statics.is_cond_branch
-
-        columns = FrontendColumns(dest=[], src1=[], src2=[],
-                                  is_load=[], is_store=[], eligible=[],
-                                  fu=[])
-        dest = columns.dest
-        src1 = columns.src1
-        src2 = columns.src2
-        is_load = columns.is_load
-        is_store = columns.is_store
-        eligible = columns.eligible
-        fu_col = columns.fu
-        control = columns.control_index
-        prefix = columns.cond_prefix
-        conds = 0
-        prefix.append(0)
-        for i in range(len(sidx)):
-            si = sidx[i]
-            dest.append(s_dest[si])
-            src1.append(s_src1[si])
-            src2.append(s_src2[si])
-            is_load.append(s_load[si])
-            is_store.append(s_store[si])
-            eligible.append(s_eligible[si])
-            fu_col.append(fu[si])
-            if s_control[si]:
-                control.append(i)
-            conds += s_cond[si]
-            prefix.append(conds)
-        return columns
 
 
 def _backward_pass(decoded: DecodedTrace, track_stores: bool,

@@ -5,16 +5,13 @@ Stage order within a cycle is commit -> issue -> rename -> fetch, so a
 resource freed at commit is available to rename in the same cycle
 (idealized but consistent across configurations).
 
-Front-end modes (``frontend=`` / ``REPRO_FRONTEND``): the default
-``block`` mode consumes pre-decoded column blocks from the active
-kernel backend's ``frontend`` pass — the fetch buffer is a contiguous
-trace window advanced block-wise (next-stopper bisect + conditional
-prefix sums for the branch counters), rename reads per-dynamic gathered
-columns, and the gshare/RAS precomputation walks only control
-instructions.  ``scalar`` keeps the original per-instruction dispatch
-as the reference; both modes are cycle-exact equals (enforced by
-``tests/test_pipeline_frontend.py``) and share the commit / issue /
-recovery machinery, timeline sampling, and obs hooks unchanged.
+The front end is per-instruction: fetch walks the trace window up to
+``fetch_width`` instructions a cycle, stopping at the first
+actual-taken control transfer or mispredicted branch (the gshare/RAS
+predictions are precomputed once per run by :func:`_control_flags`), and
+rename reads each instruction's operands from the program's static
+fact tables.  Decode does not affect any elimination result: the
+paper's mechanism acts at rename.
 
 Rename-map conventions: ``rat[arch]`` holds an ``int`` physical
 register, or an :class:`InFlight` object when the architectural
@@ -50,13 +47,10 @@ Soundness invariants of the elimination machinery (DESIGN.md §5.6):
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import kernels
 from repro.analysis.liveness import DeadnessAnalysis, analyze_deadness
 from repro.analysis.statics import StaticTable
 from repro.emulator.trace import Trace
@@ -187,54 +181,11 @@ def _control_flags(trace: Trace, statics: StaticTable,
     return mispredict, ends_group
 
 
-def _control_flags_sparse(trace: Trace, statics: StaticTable,
-                          config: MachineConfig, columns):
-    """Sparse twin of :func:`_control_flags` for the block front end:
-    the gshare/RAS walk visits only control instructions (non-branches
-    never touch predictor state, so the prediction sequence is
-    identical to the full scan).  Returns the full per-dynamic
-    mispredict flag column plus the ascending list of fetch *stoppers*
-    — actual-taken control transfers and mispredicted branches, the
-    indices where a fetch block must end."""
-    gshare = GshareBranchPredictor(config.gshare_entries,
-                                   config.gshare_history)
-    ras = ReturnAddressStack(config.ras_depth)
-    pcs = trace.pcs
-    taken = trace.taken
-    n = len(pcs)
-    sidx = trace.static_indices()
-    is_cond = statics.is_cond_branch
-    opcode = statics.opcode
-    mispredict = [False] * n
-    stops: List[int] = []
-    for i in columns.control_index:
-        si = sidx[i]
-        if is_cond[si]:
-            outcome = taken[i]
-            predicted = gshare.predict_and_update(pcs[i], outcome)
-            if predicted != outcome:
-                mispredict[i] = True
-                stops.append(i)
-            elif outcome:
-                stops.append(i)
-        else:
-            stops.append(i)
-            op = opcode[si]
-            if op == Opcode.JAL:
-                ras.push(pcs[i] + 4)
-            elif op == Opcode.JALR:
-                actual_target = pcs[i + 1] if i + 1 < n else -1
-                if not ras.predict_return(actual_target):
-                    mispredict[i] = True
-    return mispredict, stops
-
-
 class Simulator:
     """Trace-driven out-of-order timing simulation of one run."""
 
     def __init__(self, trace: Trace, config: MachineConfig = None,
-                 analysis: DeadnessAnalysis = None,
-                 frontend: Optional[str] = None):
+                 analysis: DeadnessAnalysis = None):
         self.trace = trace
         self.config = config if config is not None else default_config()
         if analysis is None:
@@ -247,23 +198,8 @@ class Simulator:
         if self.config.eliminate:
             self.elimination = EliminationEngine(self.config, analysis)
         self._fu_class = _classify_fu(self.statics)
-        if frontend is None:
-            frontend = os.environ.get("REPRO_FRONTEND") or "block"
-        if frontend not in ("block", "scalar"):
-            raise ValueError("unknown frontend mode: %r" % (frontend,))
-        self.frontend = frontend
-        if frontend == "block":
-            decoded = kernels.decode(trace, self.statics)
-            self._columns = kernels.get_backend().frontend(
-                decoded, self._fu_class)
-            self._mispredict, self._stops = _control_flags_sparse(
-                trace, self.statics, self.config, self._columns)
-            self._ends_group = None
-        else:
-            self._columns = None
-            self._stops = None
-            self._mispredict, self._ends_group = _control_flags(
-                trace, self.statics, self.config)
+        self._mispredict, self._ends_group = _control_flags(
+            trace, self.statics, self.config)
         #: cycle-sampled telemetry; None (the default) costs one
         #: ``is not None`` test per cycle in the main loop.
         self.timeline = new_timeline()
@@ -297,19 +233,6 @@ class Simulator:
         latencies = self._latency
         mispredict_flags = self._mispredict
         ends_group = self._ends_group
-        columns = self._columns
-        use_block = columns is not None
-        if use_block:
-            f_dest = columns.dest
-            f_src1 = columns.src1
-            f_src2 = columns.src2
-            f_load = columns.is_load
-            f_store = columns.is_store
-            f_eligible = columns.eligible
-            f_fu = columns.fu
-            cond_prefix = columns.cond_prefix
-            stops = self._stops
-            n_stops = len(stops)
         elim = self.elimination
         train_stores = config.eliminate_stores
         use_replay = config.recovery_mode == "replay"
@@ -360,7 +283,6 @@ class Simulator:
         rf_read_ports = config.rf_read_ports
         verify_timeout = config.verify_timeout
         eliminate_stores = config.eliminate_stores
-        stop_ptr = 0
 
         while committed < n:
             if cycle >= max_cycles:
@@ -392,9 +314,6 @@ class Simulator:
                                 self._flush(chain[0], rob, iq, rat,
                                             free_list)
                                 fq_head = fq_tail = chain[0].tidx
-                                if use_block:
-                                    stop_ptr = bisect_left(stops,
-                                                           fq_tail)
                                 fetch_resume = cycle + \
                                     config.recovery_penalty
                                 lsq_used = self._recount_lsq(rob)
@@ -494,22 +413,13 @@ class Simulator:
                 if len(rob) >= rob_size:
                     stats.rename_stalls_rob += 1
                     break
-                if use_block:
-                    is_load = f_load[tidx]
-                    is_store = f_store[tidx]
-                    dest = f_dest[tidx]
-                    src1 = f_src1[tidx]
-                    src2 = f_src2[tidx]
-                    eligible = f_eligible[tidx]
-                    fu = f_fu[tidx]
-                else:
-                    is_load = s_load[sidx]
-                    is_store = s_store[sidx]
-                    dest = s_dest[sidx]
-                    src1 = s_src1[sidx]
-                    src2 = s_src2[sidx]
-                    eligible = s_eligible[sidx]
-                    fu = fu_class[sidx]
+                is_load = s_load[sidx]
+                is_store = s_store[sidx]
+                dest = s_dest[sidx]
+                src1 = s_src1[sidx]
+                src2 = s_src2[sidx]
+                eligible = s_eligible[sidx]
+                fu = fu_class[sidx]
 
                 eliminated = False
                 if elim is not None:
@@ -570,8 +480,6 @@ class Simulator:
                         break
                     self._flush(chain[0], rob, iq, rat, free_list)
                     fq_head = fq_tail = chain[0].tidx
-                    if use_block:
-                        stop_ptr = bisect_left(stops, fq_tail)
                     fetch_resume = cycle + config.recovery_penalty
                     lsq_used = self._recount_lsq(rob)
                     flush_fired = True
@@ -631,48 +539,22 @@ class Simulator:
 
             # ---- fetch ----
             if cycle >= fetch_resume and fq_tail < n:
-                if use_block:
-                    # One arithmetic step per cycle: the block runs to
-                    # the width/buffer/trace limit or through the next
-                    # stopper, whichever is nearest; branch counters
-                    # come from the conditional prefix sums.  stop_ptr
-                    # is monotone (re-bisected only on a flush).
-                    budget = fetch_width
-                    room = fetch_buffer_cap - (fq_tail - fq_head)
-                    if room < budget:
-                        budget = room
-                    if budget > 0:
-                        end = fq_tail + budget
-                        if end > n:
-                            end = n
-                        stop = stops[stop_ptr] if stop_ptr < n_stops \
-                            else n
-                        if stop < end:
-                            end = stop + 1
-                            stop_ptr += 1
-                            if mispredict_flags[stop]:
-                                stats.branch_mispredicts += 1
-                                fetch_resume = _INF  # until it resolves
-                        stats.branches += (cond_prefix[end]
-                                           - cond_prefix[fq_tail])
-                        fq_tail = end
-                else:
-                    fetched = 0
-                    while (fetched < fetch_width
-                           and fq_tail - fq_head < fetch_buffer_cap
-                           and fq_tail < n):
-                        tidx = fq_tail
-                        fq_tail += 1
-                        fetched += 1
-                        sidx = static_idx[tidx]
-                        if s_cond[sidx]:
-                            stats.branches += 1
-                        if mispredict_flags[tidx]:
-                            stats.branch_mispredicts += 1
-                            fetch_resume = _INF  # until it resolves
-                            break
-                        if ends_group[tidx]:
-                            break
+                fetched = 0
+                while (fetched < fetch_width
+                       and fq_tail - fq_head < fetch_buffer_cap
+                       and fq_tail < n):
+                    tidx = fq_tail
+                    fq_tail += 1
+                    fetched += 1
+                    sidx = static_idx[tidx]
+                    if s_cond[sidx]:
+                        stats.branches += 1
+                    if mispredict_flags[tidx]:
+                        stats.branch_mispredicts += 1
+                        fetch_resume = _INF  # until it resolves
+                        break
+                    if ends_group[tidx]:
+                        break
 
             if timeline is not None and cycle >= timeline.next_due:
                 timeline.record(cycle, len(rob), len(iq), lsq_used,
@@ -812,12 +694,6 @@ class Simulator:
 
 
 def simulate(trace: Trace, config: MachineConfig = None,
-             analysis: DeadnessAnalysis = None,
-             frontend: Optional[str] = None) -> PipelineResult:
-    """Run *trace* through the timing model under *config*.
-
-    *frontend* selects the front-end mode (``"block"`` default,
-    ``"scalar"`` reference; see the module docstring) — both produce
-    identical results, cycle for cycle.
-    """
-    return Simulator(trace, config, analysis, frontend=frontend).run()
+             analysis: DeadnessAnalysis = None) -> PipelineResult:
+    """Run *trace* through the timing model under *config*."""
+    return Simulator(trace, config, analysis).run()

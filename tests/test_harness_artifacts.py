@@ -38,14 +38,18 @@ from repro.harness.artifacts import (
 )
 from repro.harness.cachedir import CacheDir
 from repro.harness.engine import _fused_to_doc
-from repro.pipeline.core import _classify_fu
 from repro.workloads import get_workload
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="NumPy not installed")
 
-BACKENDS = ["python", "batched",
-            pytest.param("columnar", marks=needs_numpy)]
+BACKENDS = ["python", pytest.param("columnar", marks=needs_numpy)]
+
+#: the columns every trace bundle carries, whatever the backend
+RAW_TRACE_COLUMNS = ("pcs", "taken", "addrs", "sidx", "out")
+#: the derived key-index columns only the columnar backend reads
+COLUMNAR_TRACE_COLUMNS = ("word", "read_keys", "write_keys",
+                          "write_pos", "write_reg")
 
 KEY = "ab" + "0" * 62  # well-formed plane key (hex-shaped, sharded)
 KEY2 = "cd" + "1" * 62
@@ -299,17 +303,20 @@ class TestRoundTrip:
         backend = kernels.get_backend(backend_name)
         machine, trace = get_workload(workload_name).run(scale=0.3)
         statics = StaticTable(trace.program)
-        fu = _classify_fu(statics)
 
         reference_sidx = list(trace.static_indices())
-        decoded = kernels.decode(trace, statics)
-        reference = (backend.fused(decoded),
-                     backend.frontend(decoded, fu))
+        reference = backend.fused(kernels.decode(trace, statics))
 
         plane = ArtifactPlane(str(tmp_path))
-        handle = store_trace_bundle(plane, KEY, trace.program,
-                                    trace.pcs, trace.taken,
-                                    trace.addrs, machine.output)
+        # Bundles are written for the active backend (their keys carry
+        # its fingerprint), so store under the backend being tested.
+        kernels.set_default_backend(backend_name)
+        try:
+            handle = store_trace_bundle(plane, KEY, trace.program,
+                                        trace.pcs, trace.taken,
+                                        trace.addrs, machine.output)
+        finally:
+            kernels.set_default_backend(None)
         assert handle is not None
         bundle = plane.attach(KEY)
         assert bundle is not None and is_trace_bundle(bundle)
@@ -325,10 +332,28 @@ class TestRoundTrip:
         assert hydrated.addrs == trace.addrs
         assert hydrated.static_indices() == reference_sidx
 
-        redecoded = kernels.decode(hydrated, statics)
-        roundtrip = (backend.fused(redecoded),
-                     backend.frontend(redecoded, fu))
+        roundtrip = backend.fused(kernels.decode(hydrated, statics))
         assert pickle.dumps(roundtrip) == pickle.dumps(reference)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_trace_bundle_columns_follow_backend(self, tmp_path, traced,
+                                                 backend_name):
+        """Only the columnar backend's bundles carry its key-index
+        columns; under ``python`` the bundle holds the raw columns and
+        ``sidx`` alone."""
+        trace, output = traced
+        plane = ArtifactPlane(str(tmp_path))
+        kernels.set_default_backend(backend_name)
+        try:
+            store_trace_bundle(plane, KEY, trace.program, trace.pcs,
+                               trace.taken, trace.addrs, output)
+        finally:
+            kernels.set_default_backend(None)
+        bundle = plane.attach(KEY)
+        assert all(bundle.has(name) for name in RAW_TRACE_COLUMNS)
+        expected = backend_name == "columnar"
+        assert [bundle.has(name) for name in COLUMNAR_TRACE_COLUMNS] \
+            == [expected] * len(COLUMNAR_TRACE_COLUMNS)
 
     def test_analysis_bundle_round_trip(self, tmp_path, traced):
         trace, _output = traced
@@ -363,7 +388,7 @@ class TestRoundTrip:
         """The plane works (just not zero-copy) without NumPy: a
         subprocess whose ``numpy`` import fails stores a bundle,
         re-attaches it, and gets byte-identical hydration through the
-        list backends."""
+        ``python`` backend."""
         (tmp_path / "numpy.py").write_text(
             "raise ImportError('stubbed out for the plane test')\n")
         src = os.path.join(os.path.dirname(os.path.dirname(
@@ -379,11 +404,9 @@ class TestRoundTrip:
             "from repro.emulator.trace import Trace\n"
             "from repro.harness.artifacts import (ArtifactPlane,\n"
             "    is_trace_bundle, store_trace_bundle, unpack_output)\n"
-            "from repro.pipeline.core import _classify_fu\n"
             "from repro.workloads import get_workload\n"
             "machine, trace = get_workload('sort').run(scale=0.2)\n"
             "statics = StaticTable(trace.program)\n"
-            "fu = _classify_fu(statics)\n"
             "plane = ArtifactPlane(tempfile.mkdtemp())\n"
             "key = 'ab' + '0' * 62\n"
             "handle = store_trace_bundle(plane, key, trace.program,\n"
@@ -403,10 +426,8 @@ class TestRoundTrip:
             "trace.static_indices()\n"
             "for name in kernels.available_backends():\n"
             "    backend = kernels.get_backend(name)\n"
-            "    ref = backend.frontend(\n"
-            "        kernels.decode(trace, statics), fu)\n"
-            "    got = backend.frontend(\n"
-            "        kernels.decode(hydrated, statics), fu)\n"
+            "    ref = backend.fused(kernels.decode(trace, statics))\n"
+            "    got = backend.fused(kernels.decode(hydrated, statics))\n"
             "    assert pickle.dumps(got) == pickle.dumps(ref), name\n"
             "print('no-numpy-plane-ok')\n")
         result = subprocess.run([sys.executable, "-c", script],

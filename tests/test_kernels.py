@@ -12,14 +12,12 @@ import pytest
 from repro import kernels
 from repro.analysis import analyze_deadness
 from repro.analysis.distance import kill_distances
-from repro.pipeline.core import _classify_fu
 from repro.workloads import get_workload
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="NumPy absent: columnar backend "
     "not registered (optional dependency)")
-BACKENDS = ("python", "batched",
-            pytest.param("columnar", marks=needs_numpy))
+BACKENDS = ("python", pytest.param("columnar", marks=needs_numpy))
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +33,7 @@ def traced():
 
 class TestRegistry:
     def test_stdlib_backends_registered(self):
-        assert {"python", "batched"} <= set(kernels.available_backends())
+        assert "python" in kernels.available_backends()
 
     def test_columnar_registered_iff_numpy(self):
         registered = "columnar" in kernels.available_backends()
@@ -64,9 +62,8 @@ class TestRegistry:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         kernels.set_default_backend(None)
         assert kernels.default_backend_name() == "python"
-        monkeypatch.setenv("REPRO_BACKEND", "batched")
-        assert kernels.default_backend_name() == "batched"
-        assert kernels.get_backend().name == "batched"
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
+        assert kernels.default_backend_name() == "columnar"
         # A pinned backend beats the environment.
         kernels.set_default_backend("python")
         try:
@@ -76,7 +73,7 @@ class TestRegistry:
 
     def test_fingerprint_names_the_backend(self):
         assert kernels.backend_fingerprint("python") != \
-            kernels.backend_fingerprint("batched")
+            kernels.backend_fingerprint("columnar")
         assert kernels.default_backend_name() in \
             kernels.backend_fingerprint()
 
@@ -162,40 +159,6 @@ class TestKernels:
         _trace, analysis = traced
         first = kernels.prediction_stream_for(analysis)
         assert kernels.prediction_stream_for(analysis) is first
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_frontend_columns_match_statics(self, name, traced):
-        trace, analysis = traced
-        statics = analysis.statics
-        fu = _classify_fu(statics)
-        decoded = kernels.decode(trace)
-        front = kernels.get_backend(name).frontend(decoded, fu)
-        n = len(trace)
-        sidx = decoded.sidx
-        assert front.dest == [statics.dest[s] for s in sidx]
-        assert front.src1 == [statics.src1[s] for s in sidx]
-        assert front.src2 == [statics.src2[s] for s in sidx]
-        assert front.is_load == [statics.is_load[s] for s in sidx]
-        assert front.is_store == [statics.is_store[s] for s in sidx]
-        assert front.eligible == [statics.eligible[s] for s in sidx]
-        assert front.fu == [fu[s] for s in sidx]
-        assert front.control_index == [
-            i for i in range(n) if statics.is_branch[sidx[i]]]
-        conds = [int(statics.is_cond_branch[s]) for s in sidx]
-        assert len(front.cond_prefix) == n + 1
-        assert front.cond_prefix == [sum(conds[:i])
-                                     for i in range(n + 1)]
-
-    @needs_numpy
-    def test_frontend_element_types_are_plain(self, traced):
-        trace, _analysis = traced
-        statics = analyze_deadness(trace).statics
-        decoded = kernels.decode(trace)
-        front = kernels.get_backend("columnar").frontend(
-            decoded, _classify_fu(statics))
-        assert type(front.dest[0]) is int
-        assert type(front.is_load[0]) is bool
-        assert type(front.cond_prefix[-1]) is int
 
 
 # ---------------------------------------------------------------------

@@ -11,10 +11,10 @@ rendered to Mini-C source and interpreted directly in Python with
    skipped reproduces the output (deadness-analysis soundness on
    arbitrary programs, not just the curated suite);
 3. every registered kernel backend's outputs — decode column, fused
-   deadness/kill-distance/locality columns, prediction stream,
-   front-end columns — are byte-identical (pickle-equal, so element
-   types included) to the ``python`` reference on arbitrary programs
-   (``batched`` always; ``columnar`` whenever NumPy is importable).
+   deadness/kill-distance/locality columns, prediction stream — are
+   byte-identical (pickle-equal, so element types included) to the
+   ``python`` reference on arbitrary programs (``columnar`` whenever
+   NumPy is importable).
 """
 
 import pickle
@@ -25,7 +25,6 @@ from repro import kernels
 from repro.analysis import analyze_deadness, replay_trace
 from repro.emulator import run_program
 from repro.lang import CompilerOptions, compile_to_program
-from repro.pipeline.core import _classify_fu
 from repro.workloads.generate import (
     PROGRAM_VARS as _VARS,
     interpret_program as _interpret,
@@ -109,8 +108,6 @@ def _kernel_doc(backend, trace, statics, dead):
     stream = backend.prediction_stream(decoded, dead)
     kills = backend.kill_distances(decoded, dead)
     counts = backend.static_counts(decoded, dead)
-    fu = _classify_fu(statics)
-    front = backend.frontend(decoded, fu)
     return (
         list(decoded.sidx),
         fused.deadness.dead, fused.deadness.direct,
@@ -124,9 +121,6 @@ def _kernel_doc(backend, trace, statics, dead):
         counts.totals, counts.deads,
         stream.eligible_index, stream.eligible_pc,
         stream.eligible_dead, stream.branch_index, stream.branch_taken,
-        front.dest, front.src1, front.src2, front.is_load,
-        front.is_store, front.eligible, front.fu,
-        front.control_index, front.cond_prefix,
     )
 
 
