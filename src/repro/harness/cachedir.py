@@ -120,13 +120,15 @@ def code_salt(*subpackages: str) -> str:
     return salt
 
 
-#: Which subpackages feed each cacheable stage (the salt recipe).
+#: Which subpackages feed each cacheable stage (the salt recipe).  Every
+#: ``repro`` subpackage a stage's code imports is salted here or by a
+#: stage its key chains through; tests/test_harness_salts.py checks it.
 STAGE_CODE = {
     "compile": ("lang", "isa", "keys"),
     "trace": ("isa", "emulator", "workloads"),
     "analysis": ("analysis", "kernels"),
-    "paths": ("predictors", "kernels"),
-    "timing": ("pipeline", "analysis", "kernels", "keys"),
+    "paths": ("predictors", "analysis", "kernels"),
+    "timing": ("pipeline", "predictors", "analysis", "kernels", "keys"),
 }
 
 

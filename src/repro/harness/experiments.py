@@ -29,7 +29,9 @@ all apply unchanged.
 from __future__ import annotations
 
 import difflib
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Tuple
 
 from repro.analysis import classify_statics, locality_stats
@@ -43,6 +45,7 @@ from repro.harness.runtable import (
 )
 from repro.harness.sweep import elim_variant
 from repro.harness.tables import Table, percent, signed_percent
+from repro.kernels.base import PredictionStream
 from repro.pipeline import (
     MachineConfig,
     contended_config,
@@ -870,47 +873,35 @@ def _a6_measure(ctx: RunTableContext, point) -> Dict[str, object]:
     run = ctx.run_for(point["workload"].payload)
     paths = ctx.paths_for(run, 3)
     stream = ctx.stream_for(run)
-    predictor = PathDeadPredictor()
+    index = stream.eligible_index
+    dead = stream.eligible_dead
     midpoint = len(run.trace) // 2
-    flushed = False
     window = _A6_WINDOW
-    buckets = _A6_BUCKETS
-    totals = {bucket: [0, 0] for bucket in buckets}  # [hits, dead]
-    # Predictor state only changes on eligible events, so flushing
-    # at the first eligible instance past the midpoint is identical
-    # to flushing exactly at the midpoint.
-    for i, pc, is_dead in zip(stream.eligible_index,
-                              stream.eligible_pc,
-                              stream.eligible_dead):
-        if not flushed and i >= midpoint:
-            predictor = PathDeadPredictor()  # context switch
-            flushed = True
-        prediction = predictor.predict(pc, paths.predicted[i], i)
-        if is_dead:
-            offset = i - midpoint
-            if offset < 0:
-                # Only count warmed-up pre-flush instructions.
-                bucket = (buckets[0] if i > 4 * window else None)
-            elif offset < window:
-                bucket = buckets[1]
-            elif offset < 2 * window:
-                bucket = buckets[2]
-            elif offset < 4 * window:
-                bucket = buckets[3]
-            else:
-                bucket = buckets[4]
-            if bucket is not None:
-                totals[bucket][1] += 1
-                if prediction:
-                    totals[bucket][0] += 1
-        predictor.train(pc, is_dead, paths.actual[i], i)
+    # Predictor state only changes on eligible events, so flushing at
+    # the first eligible instance past the midpoint is identical to
+    # flushing exactly at the midpoint: each half of the stream is
+    # walked by a fresh predictor (the second after the context
+    # switch).
+    flush = bisect_left(index, midpoint)
+    predictions: List[bool] = []
+    for start, stop in ((0, flush), (flush, len(index))):
+        half = PredictionStream(eligible_index=index[start:stop],
+                                eligible_pc=stream.eligible_pc[start:stop],
+                                eligible_dead=dead[start:stop])
+        predictions += PathDeadPredictor().walk(half, paths)
+    # Bucket edges in dynamic instructions, one bucket per key; only
+    # warmed-up pre-flush instructions (past four windows) count.
+    edges = (4 * window + 1, midpoint, midpoint + window,
+             midpoint + 2 * window, midpoint + 4 * window)
+    bounds = [bisect_left(index, edge) for edge in edges] + [len(index)]
     metrics: Dict[str, object] = {}
-    for key, bucket in zip(_A6_KEYS, buckets):
-        hits, dead = totals[bucket]
-        metrics["%s_hits" % key] = hits
-        metrics["%s_dead" % key] = dead
-    hits, dead = totals[buckets[1]]
-    metrics["post_flush_coverage"] = hits / dead if dead else 0.0
+    for key, start, stop in zip(_A6_KEYS, bounds, bounds[1:]):
+        metrics["%s_hits" % key] = sum(compress(predictions[start:stop],
+                                                dead[start:stop]))
+        metrics["%s_dead" % key] = sum(dead[start:stop])
+    hits, dead_count = metrics["b0_2k_hits"], metrics["b0_2k_dead"]
+    metrics["post_flush_coverage"] = \
+        hits / dead_count if dead_count else 0.0
     return metrics
 
 

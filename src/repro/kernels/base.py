@@ -126,9 +126,10 @@ class PredictionStream:
 
     Two position-sorted event lists replace the full-trace scan: the
     *eligible* instances (the population every dead predictor is
-    consulted on) and the conditional branches (consumed by
-    history-based designs via ``note_branch``).  A sweep builds the
-    stream once per trace and every sweep point walks only the events.
+    consulted on) and the conditional branches (which the
+    history-based design's walk merges in, in dynamic order).  A sweep
+    builds the stream once per trace and every sweep point's
+    ``DeadPredictor.walk`` visits only the events.
     """
 
     #: dynamic indices of eligible instructions, ascending

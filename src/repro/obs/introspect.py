@@ -14,9 +14,11 @@ not.  A :class:`PredictorProbe` attached to an evaluation walk tracks:
   confidence-counter values, read from the table without touching the
   predictor's hot path.
 
-The probe is entirely pull-based on the predictor side: table code
-only calls :meth:`note_alloc` / :meth:`note_eviction` behind an
+The probe is entirely pull-based on the predictor side: a design's
+walk only calls :meth:`note_alloc` / :meth:`note_eviction` behind an
 ``is not None`` guard, so the telemetry-off cost is one attribute test.
+The confusion counts are filled after the walk, from its predictions
+column, one :meth:`record` per distinct (pc, prediction, label).
 """
 
 from __future__ import annotations
@@ -39,15 +41,17 @@ class PredictorProbe:
 
     # -- recording ----------------------------------------------------
 
-    def record(self, pc: int, predicted: bool, dead: bool) -> None:
+    def record(self, pc: int, predicted: bool, dead: bool,
+               count: int = 1) -> None:
+        """Count *count* events of *pc* with this prediction/label."""
         cell = self.confusion.get(pc)
         if cell is None:
             cell = [0, 0, 0, 0]
             self.confusion[pc] = cell
         if predicted:
-            cell[0 if dead else 1] += 1
+            cell[0 if dead else 1] += count
         else:
-            cell[3 if dead else 2] += 1
+            cell[3 if dead else 2] += count
 
     def note_alloc(self) -> None:
         self.allocations += 1

@@ -13,8 +13,8 @@
 
 :func:`compute_paths` precomputes, for every dynamic instruction, the
 predicted and the actual outcomes of its next-N branches;
-:func:`evaluate_predictor` runs any predictor over a labelled trace and
-reports accuracy (correct dead predictions / all dead predictions) and
+:func:`evaluate_predictor` runs any predictor's ``walk`` over a
+labelled trace and reports accuracy (correct dead predictions / all dead predictions) and
 coverage (dead instructions identified / all dead instructions), the
 paper's two headline metrics.
 """

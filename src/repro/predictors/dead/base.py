@@ -1,8 +1,15 @@
-"""Predictor interface and the accuracy/coverage statistics."""
+"""Predictor interface (one evaluation walk per design) and the
+accuracy/coverage statistics derived from a walk's predictions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from typing import TYPE_CHECKING, List, Sequence
+
+if TYPE_CHECKING:
+    from repro.kernels.base import PredictionStream
+    from repro.predictors.dead.paths import PathInfo
 
 
 @dataclass
@@ -33,16 +40,17 @@ class DeadPredictionStats:
             return 0.0
         return self.true_positives / self.dead
 
-    def record(self, predicted: bool, actually_dead: bool) -> None:
-        self.eligible += 1
-        if actually_dead:
-            self.dead += 1
-        if predicted:
-            self.predicted_dead += 1
-            if actually_dead:
-                self.true_positives += 1
-            else:
-                self.false_positives += 1
+    def tally(self, predictions: Sequence[bool],
+              dead: Sequence[bool]) -> None:
+        """Add one walk: its predictions against the deadness labels of
+        the same eligible events."""
+        predicted = sum(predictions)
+        hits = sum(compress(predictions, dead))
+        self.eligible += len(dead)
+        self.dead += sum(dead)
+        self.predicted_dead += predicted
+        self.true_positives += hits
+        self.false_positives += predicted - hits
 
     def summary(self) -> str:
         return ("eligible=%d dead=%d predicted=%d accuracy=%.1f%% "
@@ -55,11 +63,13 @@ class DeadPredictionStats:
 class DeadPredictor:
     """Interface shared by all dead-instruction predictors.
 
-    ``predict`` receives the *predicted* future path (from the branch
-    predictor, as available in a real front end) and ``train`` the
-    *actual* resolved path (as available at commit).  ``index`` is the
-    dynamic instruction number; hardware predictors ignore it (only the
-    oracle uses it).
+    :meth:`walk` evaluates the predictor over the eligible events of one
+    trace in dynamic order.  Each event is first predicted from the
+    *predicted* future path (what the branch predictor supplies at
+    rename) and then trained with its deadness label and the *actual*
+    resolved path (available at commit).  Each design implements the
+    walk as one loop with its index/tag arithmetic inline: it is the
+    innermost loop of every predictor experiment.
 
     ``probe`` is an optional :class:`repro.obs.introspect.PredictorProbe`
     the table designs feed churn events (allocations, evictions) when
@@ -70,11 +80,12 @@ class DeadPredictor:
     name = "abstract"
     probe = None
 
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        raise NotImplementedError
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        """Predict, then train, every eligible event of *stream*;
+        return one prediction per event.  *paths* holds the predicted
+        and actual future-path signature of every dynamic instruction,
+        indexed by ``stream.eligible_index``."""
         raise NotImplementedError
 
     def storage_bits(self) -> int:

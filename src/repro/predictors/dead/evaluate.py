@@ -1,16 +1,23 @@
 """Trace-driven predictor evaluation.
 
-Walks the committed trace in order.  For each *eligible* instruction
-(produces a register value, no side effects — the same population the
-elimination hardware considers) the predictor is consulted with the
-predicted future path, then trained with the resolved outcome and the
-actual path, mirroring the lookup-at-rename / train-at-commit timing of
-the hardware scheme.  The few-hundred-instruction skew between rename
-and commit is not modelled here (the timing simulator models it); for
-steady-state accuracy/coverage it is irrelevant.
+Evaluates a predictor over the *eligible* instructions of one committed
+trace (those that produce a register value and have no side effects —
+the same population the elimination hardware considers).  The design's
+:meth:`~repro.predictors.dead.base.DeadPredictor.walk` visits them in
+dynamic order: each is looked up with the predicted future path, then
+trained with the resolved outcome and the actual path, mirroring the
+lookup-at-rename / train-at-commit timing of the hardware scheme.  The
+few-hundred-instruction skew between rename and commit is not modelled
+here (the timing simulator models it); for steady-state
+accuracy/coverage it is irrelevant.
+
+The statistics and the optional probe's confusion counts are derived
+in bulk from the walk's predictions column.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro import kernels, obs
 from repro.analysis.liveness import DeadnessAnalysis
@@ -45,9 +52,8 @@ def evaluate_predictor(analysis: DeadnessAnalysis,
     branches instead of the full dynamic stream.
     """
     trace = analysis.trace
-    statics = analysis.statics
     if paths is None:
-        paths = compute_paths(trace, statics)
+        paths = compute_paths(trace, analysis.statics)
     if stats is None:
         stats = DeadPredictionStats()
     if probe is None:
@@ -57,52 +63,19 @@ def evaluate_predictor(analysis: DeadnessAnalysis,
     if stream is None:
         stream = kernels.prediction_stream_for(analysis)
 
-    predicted_paths = paths.predicted
-    actual_paths = paths.actual
-
-    predict = predictor.predict
-    train = predictor.train
-    record = stats.record
-    record_probe = probe.record if probe is not None else None
-    # History-based designs consume resolved branch outcomes as the
-    # walk passes each conditional branch.
-    note_branch = getattr(predictor, "note_branch", None)
-
-    eligible_events = zip(stream.eligible_index, stream.eligible_pc,
-                          stream.eligible_dead)
-    if note_branch is None:
-        for i, pc, is_dead in eligible_events:
-            prediction = predict(pc, predicted_paths[i], i)
-            record(prediction, is_dead)
-            if record_probe is not None:
-                record_probe(pc, prediction, is_dead)
-            train(pc, is_dead, actual_paths[i], i)
-    else:
-        # Two-pointer merge: replay branch outcomes and eligible
-        # lookups in original dynamic order (the two index lists are
-        # disjoint and ascending).
-        branch_index = stream.branch_index
-        branch_taken = stream.branch_taken
-        n_branches = len(branch_index)
-        b = 0
-        for i, pc, is_dead in eligible_events:
-            while b < n_branches and branch_index[b] < i:
-                note_branch(branch_taken[b])
-                b += 1
-            prediction = predict(pc, predicted_paths[i], i)
-            record(prediction, is_dead)
-            if record_probe is not None:
-                record_probe(pc, prediction, is_dead)
-            train(pc, is_dead, actual_paths[i], i)
-        while b < n_branches:
-            note_branch(branch_taken[b])
-            b += 1
+    predictions = predictor.walk(stream, paths)
 
     if probe is not None:
         predictor.probe = None
+        record = probe.record
+        for (pc, predicted, dead), count in Counter(
+                zip(stream.eligible_pc, predictions,
+                    stream.eligible_dead)).items():
+            record(pc, predicted, dead, count)
         collector = obs.get_collector()
         if collector is not None:
             collector.add_probe(trace.program.name, predictor.name,
                                 probe, predictor)
 
+    stats.tally(predictions, stream.eligible_dead)
     return stats

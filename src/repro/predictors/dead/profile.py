@@ -18,11 +18,15 @@ implementable hardware.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import TYPE_CHECKING, List, Set
 
 from repro import kernels
 from repro.analysis.liveness import DeadnessAnalysis
 from repro.predictors.dead.base import DeadPredictor
+
+if TYPE_CHECKING:
+    from repro.kernels.base import PredictionStream
+    from repro.predictors.dead.paths import PathInfo
 
 
 class ProfileDeadPredictor(DeadPredictor):
@@ -48,12 +52,10 @@ class ProfileDeadPredictor(DeadPredictor):
             if deads.get(pc, 0) / total >= threshold
         }
 
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        return pc in self.always_dead
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
-        pass  # the profile is fixed at "compile time"
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        # The profile is fixed at "compile time": nothing to train.
+        return list(map(self.always_dead.__contains__, stream.eligible_pc))
 
     def storage_bits(self) -> int:
         return 0  # encoded in the binary, no hardware state

@@ -6,13 +6,22 @@ DESIGN.md §5.4 for the update policy rationale: dead-instruction
 mispredictions (predicting dead when live) force a pipeline recovery,
 so confidence clears instantly on a live outcome along the learned
 path, while coverage builds with a small saturating counter.
+
+Each design states its rule once, as the loop of its :meth:`walk`, with
+the slot and tag arithmetic inline.  :class:`PathDeadPredictor` also
+keeps per-instruction ``predict``/``train``: the timing simulator
+drives it one instruction at a time at rename and commit.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.predictors.dead.base import DeadPredictor
+
+if TYPE_CHECKING:
+    from repro.kernels.base import PredictionStream
+    from repro.predictors.dead.paths import PathInfo
 
 
 def _check_power_of_two(entries: int) -> None:
@@ -96,6 +105,50 @@ class PathDeadPredictor(DeadPredictor):
         else:
             self.confs[slot] = 0
 
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        # predict() then train() per event, _slot() inlined.
+        tags = self.tags
+        confs = self.confs
+        threshold = self.threshold
+        conf_max = self._conf_max
+        index_bits = self._index_bits
+        index_mask = self.entries - 1
+        tag_mask = self._tag_mask
+        path_mask = self._path_mask
+        path_shift = self._path_shift
+        predicted = paths.predicted
+        actual = paths.actual
+        probe = self.probe
+        predictions: List[bool] = []
+        append = predictions.append
+        for i, pc, dead in zip(stream.eligible_index, stream.eligible_pc,
+                               stream.eligible_dead):
+            word = pc >> 2
+            tag = (word >> index_bits) & tag_mask
+            path = predicted[i]
+            slot = (word ^ ((path & path_mask) << path_shift)) & index_mask
+            append(tags[slot] == tag and confs[slot] >= threshold)
+            # Most branches are predicted right: then training uses the
+            # slot the lookup used.
+            if actual[i] != path:
+                slot = (word ^ ((actual[i] & path_mask) << path_shift)) \
+                    & index_mask
+            if tags[slot] != tag:
+                if dead:
+                    if probe is not None:
+                        probe.note_alloc()
+                        if tags[slot] != -1:
+                            probe.note_eviction()
+                    tags[slot] = tag
+                    confs[slot] = 1
+            elif dead:
+                if confs[slot] < conf_max:
+                    confs[slot] += 1
+            else:
+                confs[slot] = 0
+        return predictions
+
     def storage_bits(self) -> int:
         # tag + confidence + valid bit, per entry.
         return self.entries * (self.tag_bits + self.conf_bits + 1)
@@ -110,6 +163,10 @@ class SignatureDeadPredictor(DeadPredictor):
     track only one dead path at a time, and uncorrelated far branches
     keep invalidating the signature — the F6 experiment quantifies how
     much that costs.
+
+    Training: a dead outcome on the learned path raises confidence, one
+    on another path replaces the signature (confidence 1); a live
+    outcome clears confidence only along the learned path.
     """
 
     name = "signature"
@@ -133,41 +190,51 @@ class SignatureDeadPredictor(DeadPredictor):
         self.sigs: List[int] = [0] * entries
         self.confs: List[int] = [0] * entries
 
-    def _slot(self, pc: int) -> "tuple[int, int]":
-        word = pc >> 2
-        return word & (self.entries - 1), \
-            (word >> self._index_bits) & self._tag_mask
-
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        slot, tag = self._slot(pc)
-        return (self.tags[slot] == tag
-                and self.confs[slot] >= self.threshold
-                and self.sigs[slot] == (predicted_path & self._path_mask))
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
-        slot, tag = self._slot(pc)
-        path = actual_path & self._path_mask
-        if self.tags[slot] != tag:
-            if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
-                self.tags[slot] = tag
-                self.sigs[slot] = path
-                self.confs[slot] = 1
-            return
-        if dead:
-            if self.sigs[slot] == path:
-                if self.confs[slot] < self._conf_max:
-                    self.confs[slot] += 1
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        tags = self.tags
+        sigs = self.sigs
+        confs = self.confs
+        threshold = self.threshold
+        conf_max = self._conf_max
+        index_bits = self._index_bits
+        index_mask = self.entries - 1
+        tag_mask = self._tag_mask
+        path_mask = self._path_mask
+        predicted = paths.predicted
+        actual = paths.actual
+        probe = self.probe
+        predictions: List[bool] = []
+        append = predictions.append
+        for i, pc, dead in zip(stream.eligible_index, stream.eligible_pc,
+                               stream.eligible_dead):
+            word = pc >> 2
+            slot = word & index_mask
+            tag = (word >> index_bits) & tag_mask
+            path = actual[i] & path_mask
+            if tags[slot] != tag:
+                append(False)
+                if dead:
+                    if probe is not None:
+                        probe.note_alloc()
+                        if tags[slot] != -1:
+                            probe.note_eviction()
+                    tags[slot] = tag
+                    sigs[slot] = path
+                    confs[slot] = 1
             else:
-                self.sigs[slot] = path
-                self.confs[slot] = 1
-        elif self.sigs[slot] == path:
-            self.confs[slot] = 0
+                append(confs[slot] >= threshold
+                       and sigs[slot] == (predicted[i] & path_mask))
+                if dead:
+                    if sigs[slot] == path:
+                        if confs[slot] < conf_max:
+                            confs[slot] += 1
+                    else:
+                        sigs[slot] = path
+                        confs[slot] = 1
+                elif sigs[slot] == path:
+                    confs[slot] = 0
+        return predictions
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.path_bits
@@ -200,34 +267,40 @@ class BimodalDeadPredictor(DeadPredictor):
         self.tags: List[int] = [-1] * entries
         self.confs: List[int] = [0] * entries
 
-    def _slot(self, pc: int) -> "tuple[int, int]":
-        word = pc >> 2
-        return word & (self.entries - 1), \
-            (word >> self._index_bits) & self._tag_mask
-
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        slot, tag = self._slot(pc)
-        return self.tags[slot] == tag and \
-            self.confs[slot] >= self.threshold
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
-        slot, tag = self._slot(pc)
-        if self.tags[slot] != tag:
-            if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
-                self.tags[slot] = tag
-                self.confs[slot] = 1
-            return
-        if dead:
-            if self.confs[slot] < self._conf_max:
-                self.confs[slot] += 1
-        else:
-            self.confs[slot] = 0
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        # The path plays no part: lookup and training share one slot.
+        tags = self.tags
+        confs = self.confs
+        threshold = self.threshold
+        conf_max = self._conf_max
+        index_bits = self._index_bits
+        index_mask = self.entries - 1
+        tag_mask = self._tag_mask
+        probe = self.probe
+        predictions: List[bool] = []
+        append = predictions.append
+        for pc, dead in zip(stream.eligible_pc, stream.eligible_dead):
+            word = pc >> 2
+            slot = word & index_mask
+            tag = (word >> index_bits) & tag_mask
+            if tags[slot] != tag:
+                append(False)
+                if dead:
+                    if probe is not None:
+                        probe.note_alloc()
+                        if tags[slot] != -1:
+                            probe.note_eviction()
+                    tags[slot] = tag
+                    confs[slot] = 1
+            else:
+                append(confs[slot] >= threshold)
+                if dead:
+                    if confs[slot] < conf_max:
+                        confs[slot] += 1
+                else:
+                    confs[slot] = 0
+        return predictions
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.conf_bits + 1)
@@ -243,8 +316,9 @@ class HistoryDeadPredictor(DeadPredictor):
     history only predicts indirectly (insofar as the past correlates
     with the future).  This design isolates that claim: identical
     structure to :class:`PathDeadPredictor`, but fed the last N branch
-    outcomes instead of the next N predictions.  The harness updates
-    the history via :meth:`note_branch` along the committed path.
+    outcomes instead of the next N predictions.  The walk shifts the
+    stream's resolved branch outcomes into the history register in
+    dynamic order, between the eligible events.
     """
 
     name = "history"
@@ -271,43 +345,58 @@ class HistoryDeadPredictor(DeadPredictor):
         self.tags: List[int] = [-1] * entries
         self.confs: List[int] = [0] * entries
 
-    def note_branch(self, taken: bool) -> None:
-        """Shift a resolved branch outcome into the global history."""
-        self.history = ((self.history << 1) | int(taken)) \
-            & self._history_mask
-
-    def _slot(self, pc: int) -> "tuple[int, int]":
-        word = pc >> 2
-        index = (word ^ (self.history << self._history_shift)) \
-            & (self.entries - 1)
-        tag = (word >> self._index_bits) & self._tag_mask
-        return index, tag
-
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        slot, tag = self._slot(pc)
-        return self.tags[slot] == tag and \
-            self.confs[slot] >= self.threshold
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
-        # Prediction and training share the same history context here
-        # (both happen at the instruction's position in the walk).
-        slot, tag = self._slot(pc)
-        if self.tags[slot] != tag:
-            if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
-                self.tags[slot] = tag
-                self.confs[slot] = 1
-            return
-        if dead:
-            if self.confs[slot] < self._conf_max:
-                self.confs[slot] += 1
-        else:
-            self.confs[slot] = 0
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        tags = self.tags
+        confs = self.confs
+        threshold = self.threshold
+        conf_max = self._conf_max
+        index_bits = self._index_bits
+        index_mask = self.entries - 1
+        tag_mask = self._tag_mask
+        history_mask = self._history_mask
+        history_shift = self._history_shift
+        history = self.history
+        branch_index = stream.branch_index
+        branch_taken = stream.branch_taken
+        n_branches = len(branch_index)
+        b = 0
+        probe = self.probe
+        predictions: List[bool] = []
+        append = predictions.append
+        for i, pc, dead in zip(stream.eligible_index, stream.eligible_pc,
+                               stream.eligible_dead):
+            # Two-pointer merge: the branch and eligible index lists
+            # are disjoint and ascending.
+            while b < n_branches and branch_index[b] < i:
+                history = ((history << 1) | branch_taken[b]) \
+                    & history_mask
+                b += 1
+            # Lookup and training share the history context (both
+            # happen at the instruction's position in the walk).
+            word = pc >> 2
+            slot = (word ^ (history << history_shift)) & index_mask
+            tag = (word >> index_bits) & tag_mask
+            if tags[slot] != tag:
+                append(False)
+                if dead:
+                    if probe is not None:
+                        probe.note_alloc()
+                        if tags[slot] != -1:
+                            probe.note_eviction()
+                    tags[slot] = tag
+                    confs[slot] = 1
+            else:
+                append(confs[slot] >= threshold)
+                if dead:
+                    if confs[slot] < conf_max:
+                        confs[slot] += 1
+                else:
+                    confs[slot] = 0
+        for taken in branch_taken[b:]:
+            history = ((history << 1) | taken) & history_mask
+        self.history = history
+        return predictions
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.conf_bits + 1) \
@@ -322,12 +411,11 @@ class OracleDeadPredictor(DeadPredictor):
     def __init__(self, dead_labels: Sequence[bool]):
         self.dead_labels = dead_labels
 
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        return bool(self.dead_labels[index])
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
-        pass
+    def walk(self, stream: PredictionStream,
+             paths: PathInfo) -> List[bool]:
+        # Predicts each event's own label; nothing to train.
+        return list(map(bool, map(self.dead_labels.__getitem__,
+                                  stream.eligible_index)))
 
     def storage_bits(self) -> int:
         return 0

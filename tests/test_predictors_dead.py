@@ -5,17 +5,43 @@ import pytest
 from repro.analysis import analyze_deadness
 from repro.emulator import run_program
 from repro.isa import assemble
+from repro.kernels.base import PredictionStream
 from repro.predictors import (
     BimodalDeadPredictor,
     DeadPredictionStats,
+    HistoryDeadPredictor,
     OracleDeadPredictor,
     PathDeadPredictor,
     compute_paths,
     evaluate_predictor,
 )
+from repro.predictors.branch import BranchStats
+from repro.predictors.dead.paths import PathInfo
 from repro.predictors.dead.table import SignatureDeadPredictor
 
 PC = 0x100
+
+
+def _walk(predictor, items):
+    """Walk *items* at consecutive dynamic indices and return the
+    predictions.  An item is a branch outcome (a bool) or an eligible
+    event ``(pc, dead, path)``, looked up and trained on *path*."""
+    stream = PredictionStream()
+    signatures = []
+    for index, item in enumerate(items):
+        if isinstance(item, tuple):
+            pc, dead, path = item
+            stream.eligible_index.append(index)
+            stream.eligible_pc.append(pc)
+            stream.eligible_dead.append(dead)
+            signatures.append(path)
+        else:
+            stream.branch_index.append(index)
+            stream.branch_taken.append(item)
+            signatures.append(0)
+    paths = PathInfo(path_bits=3, predicted=signatures,
+                     actual=signatures, branch_stats=BranchStats())
+    return predictor.walk(stream, paths)
 
 
 class TestPathPredictor:
@@ -77,43 +103,43 @@ class TestPathPredictor:
 class TestBimodalPredictor:
     def test_cannot_separate_paths(self):
         predictor = BimodalDeadPredictor(threshold=2)
-        for _ in range(3):
-            predictor.train(PC, True, 5, 0)
+        predictions = _walk(predictor, [(PC, True, 5)] * 3
+                            + [(PC, True, 5), (PC, True, 2)])
         # Predicts dead regardless of the future path.
-        assert predictor.predict(PC, 5, 0)
-        assert predictor.predict(PC, 2, 0)
+        assert predictions[3:] == [True, True]
 
     def test_oscillating_static_never_covered(self):
         """The paper's argument: a partially dead static defeats a
         PC-only predictor."""
         predictor = BimodalDeadPredictor(threshold=2)
-        hits = 0
-        for index in range(100):
-            dead = index % 2 == 0
-            if predictor.predict(PC, 0, index) and dead:
-                hits += 1
-            predictor.train(PC, dead, 0, index)
-        assert hits == 0
+        deadness = [index % 2 == 0 for index in range(100)]
+        predictions = _walk(predictor,
+                            [(PC, dead, 0) for dead in deadness])
+        assert not any(p and dead
+                       for p, dead in zip(predictions, deadness))
 
 
 class TestOracle:
     def test_reflects_labels(self):
         oracle = OracleDeadPredictor([True, False, True])
-        assert oracle.predict(PC, 0, 0)
-        assert not oracle.predict(PC, 0, 1)
+        # The stream's own labels play no part: the oracle reads its.
+        assert _walk(oracle, [(PC, False, 0)] * 3) == [True, False, True]
         assert oracle.storage_bits() == 0
 
 
 class TestStats:
     def test_metrics(self):
+        # Oracle labels against different stream labels: a hit, a
+        # false positive, a miss and a true negative.
+        oracle = OracleDeadPredictor([True, True, False, False])
+        items = [(PC, True, 0), (PC, False, 0), (PC, True, 0),
+                 (PC, False, 0)]
         stats = DeadPredictionStats()
-        stats.record(True, True)    # hit
-        stats.record(True, False)   # false positive
-        stats.record(False, True)   # miss
-        stats.record(False, False)  # true negative
+        stats.tally(_walk(oracle, items), [item[1] for item in items])
         assert stats.accuracy == 0.5
         assert stats.coverage == 0.5
         assert stats.eligible == 4
+        assert stats.false_positives == 1
         assert "accuracy" in stats.summary()
 
     def test_degenerate_metrics(self):
@@ -172,48 +198,34 @@ loop:
 
 class TestHistoryPredictor:
     def test_history_register_shifts(self):
-        from repro.predictors import HistoryDeadPredictor
-
         predictor = HistoryDeadPredictor(history_bits=3)
-        predictor.note_branch(True)
-        predictor.note_branch(False)
-        predictor.note_branch(True)
+        _walk(predictor, [True, False, True])
         assert predictor.history == 0b101
-        for _ in range(5):
-            predictor.note_branch(True)
+        _walk(predictor, [True] * 5)
         assert predictor.history == 0b111
 
     def test_contexts_learn_independently(self):
-        from repro.predictors import HistoryDeadPredictor
-
         predictor = HistoryDeadPredictor(threshold=2)
-        predictor.note_branch(True)
-        for _ in range(3):
-            predictor.train(PC, True, 0, 0)
-        assert predictor.predict(PC, 0, 0)
-        predictor.note_branch(False)  # different context now
-        assert not predictor.predict(PC, 0, 0)
+        predictions = _walk(predictor, [True] + [(PC, True, 0)] * 4
+                            + [False, (PC, True, 0)])
+        assert predictions[3]       # learned under history 0b1
+        assert not predictions[4]   # different context now (0b10)
 
     def test_future_beats_past_on_alternating_deadness(self):
         """An instruction dead exactly when the *next* branch is taken,
         with an uninformative past: the future-path design learns it,
         the past-history design cannot."""
-        from repro.predictors import HistoryDeadPredictor
-
-        path_predictor = PathDeadPredictor(threshold=2)
-        history_predictor = HistoryDeadPredictor(threshold=2)
-        path_hits = history_hits = 0
+        items = []
         for index in range(200):
             future_taken = index % 2 == 0
-            dead = future_taken
-            path = int(future_taken)
-            if path_predictor.predict(PC, path, index) and dead:
-                path_hits += 1
-            if history_predictor.predict(PC, path, index) and dead:
-                history_hits += 1
-            path_predictor.train(PC, dead, path, index)
-            history_predictor.train(PC, dead, path, index)
+            items.append((PC, future_taken, int(future_taken)))
             # Past history is constant (uninformative).
-            history_predictor.note_branch(True)
-        assert path_hits > 80
-        assert history_hits == 0
+            items.append(True)
+        deadness = [item[1] for item in items if isinstance(item, tuple)]
+
+        def hits(predictor):
+            return sum(p and dead for p, dead in
+                       zip(_walk(predictor, items), deadness))
+
+        assert hits(PathDeadPredictor(threshold=2)) > 80
+        assert hits(HistoryDeadPredictor(threshold=2)) == 0
