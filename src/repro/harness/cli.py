@@ -27,8 +27,6 @@ Examples::
     python -m repro.harness obs trend --pass deadness
     python -m repro.harness obs regress --threshold 2.0  # CI gate
     python -m repro.harness obs serve --port 9300  # replay stored run
-    python -m repro.harness serve --port 9400      # experiment service
-    python -m repro.harness serve --socket /tmp/repro.sock --jobs 4
 
 Experiment runs execute through :mod:`repro.harness.engine` (staged
 on-disk cache + optional multiprocessing) and each invocation records
@@ -53,7 +51,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.harness.engine import EngineConfig, config_from_env, configure
+from repro.harness.engine import (EngineConfig, cache_dir_from_env,
+                                  config_from_env, configure)
 from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.obs.logging import setup_logging
 
@@ -107,7 +106,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="DIR",
                         help="cache root (default %s)"
                              % defaults.cache_dir)
-    parser.add_argument("--cell-timeout", type=float,
+    parser.add_argument("--cell-timeout",
+                        type=_positive_float("cell-timeout"),
                         default=defaults.cell_timeout, metavar="SEC",
                         help="per-cell timeout in parallel mode "
                              "(default %g)" % defaults.cell_timeout)
@@ -140,8 +140,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                         retry_backoff=defaults.retry_backoff,
                         partial=args.partial or defaults.partial,
                         backend=args.backend,
-                        artifacts=not args.no_artifacts,
-                        batch_cells=defaults.batch_cells)
+                        artifacts=not args.no_artifacts)
 
 
 def _experiments_main(argv: List[str]) -> int:
@@ -608,12 +607,11 @@ def _runs_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-harness runs",
         description="Summarize recorded run metadata.")
-    parser.add_argument("--last", type=int, metavar="N",
+    parser.add_argument("--last", type=_positive_int("last"), metavar="N",
                         help="only the N most recent runs")
     parser.add_argument("--json", action="store_true",
                         help="print the raw documents as JSON")
-    parser.add_argument("--cache-dir",
-                        default=config_from_env().cache_dir,
+    parser.add_argument("--cache-dir", default=cache_dir_from_env(),
                         metavar="DIR", help="cache root")
     args = parser.parse_args(argv)
 
@@ -655,8 +653,7 @@ def _cache_main(argv: List[str]) -> int:
     parser.add_argument("--keep-quarantine", action="store_true",
                         help="with 'gc': keep quarantined entries for "
                              "post-mortems instead of deleting them")
-    parser.add_argument("--cache-dir",
-                        default=config_from_env().cache_dir,
+    parser.add_argument("--cache-dir", default=cache_dir_from_env(),
                         metavar="DIR", help="cache root")
     args = parser.parse_args(argv)
 
@@ -725,18 +722,18 @@ def _obs_main(argv: List[str]) -> int:
     parser.add_argument("--label", metavar="TEXT",
                         help="timeline filter: label substring "
                              "(e.g. a workload name or 'elim')")
-    parser.add_argument("--top", type=int, default=10, metavar="N",
+    parser.add_argument("--top", type=_positive_int("top"), default=10,
+                        metavar="N",
                         help="hotspot count (default 10)")
     parser.add_argument("--json", action="store_true",
                         help="dump the loaded artifacts as JSON "
                              "instead of rendering")
-    parser.add_argument("--cache-dir",
-                        default=config_from_env().cache_dir,
+    parser.add_argument("--cache-dir", default=cache_dir_from_env(),
                         metavar="DIR", help="cache root")
     parser.add_argument("--history", metavar="PATH", dest="history",
                         help="history file (default: "
                              "<cache-dir>/obs-history/history.jsonl)")
-    parser.add_argument("--last", type=int, metavar="N",
+    parser.add_argument("--last", type=_positive_int("last"), metavar="N",
                         help="history/trend: only the newest N runs")
     parser.add_argument("--pass", action="append", dest="pass_filters",
                         metavar="NAME",
@@ -746,7 +743,8 @@ def _obs_main(argv: List[str]) -> int:
                         metavar="X",
                         help="regress: fail when a tracked metric "
                              "exceeds baseline_mean * X (default 2.0)")
-    parser.add_argument("--window", type=int, default=5, metavar="N",
+    parser.add_argument("--window", type=_positive_int("window"),
+                        default=5, metavar="N",
                         help="regress: rolling-baseline size "
                              "(default 5)")
     parser.add_argument("--against", metavar="PATH",
@@ -881,85 +879,6 @@ def _obs_serve_main(args, runs_root: str) -> int:
     return 0
 
 
-def _serve_main(argv: List[str]) -> int:
-    """``serve``: the long-running experiment service daemon
-    (:mod:`repro.harness.service`) — a bounded job queue over the
-    shared engine, accepting experiment/run-table submissions from
-    any number of concurrent clients over HTTP."""
-    parser = argparse.ArgumentParser(
-        prog="repro-harness serve",
-        description="Run the experiment service: POST /jobs submits "
-                    "{'kind': 'experiments'|'table', ...} specs, "
-                    "GET /jobs/<id> polls (?wait=SEC long-polls), "
-                    "GET /jobs/<id>/result returns the rendered text "
-                    "(byte-identical to the equivalent CLI run), "
-                    "DELETE /jobs/<id> cancels; /metrics exposes the "
-                    "live merged registry, /healthz and /stats report "
-                    "service state.  See docs/service.md.")
-    parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                        help="bind address (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0, metavar="PORT",
-                        help="TCP port (default 0 = ephemeral; the "
-                             "resolved endpoint is printed on startup)")
-    parser.add_argument("--socket", metavar="PATH",
-                        help="serve on a UNIX socket at PATH instead "
-                             "of TCP (clients connect to unix://PATH)")
-    parser.add_argument("--queue-limit", type=_positive_int(
-        "queue-limit"), default=64, metavar="N",
-        help="queued-job bound; submissions beyond it "
-             "are rejected with 503 (default 64)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append finished jobs to the "
-                             "timing history under "
-                             "<cache-dir>/obs-history/")
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable telemetry collection (on by "
-                             "default for the service so /metrics and "
-                             "per-job spans are live)")
-    _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
-
-    from repro import obs as obslib
-    from repro.harness.service import ExperimentService, ServiceServer
-
-    engine = configure(_engine_config(args))
-    # The service defaults telemetry ON: a daemon whose /metrics
-    # endpoint serves an empty exposition is not much of a service.
-    obs_config = obslib.obs_config_from_env()
-    if obs_config is None and not args.no_obs:
-        obs_config = obslib.ObsConfig()
-    obslib.configure_obs(None if args.no_obs else obs_config)
-
-    service = ExperimentService(engine=engine,
-                                queue_limit=args.queue_limit,
-                                history=not args.no_history)
-    server = ServiceServer(service, host=args.host, port=args.port,
-                           socket_path=args.socket)
-    service.start()
-    try:
-        base_url = server.start()
-    except OSError as error:
-        target = args.socket or "%s:%d" % (args.host, args.port)
-        print("could not bind %s: %s" % (target, error),
-              file=sys.stderr)
-        service.stop()
-        return 1
-    # Printed (and flushed) before serving so clients and CI scripts
-    # can parse the resolved endpoint from the first stdout line.
-    print("serving experiment service on %s (jobs: POST /jobs; "
-          "metrics: /metrics; Ctrl-C to stop)" % base_url, flush=True)
-    try:
-        while True:
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        print("stopping experiment service", flush=True)
-        server.stop()
-        service.stop()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -973,8 +892,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cache_main(argv[1:])
     if argv and argv[0] == "obs":
         return _obs_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
     return _experiments_main(argv)
 
 

@@ -42,6 +42,7 @@ cache directories.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -74,7 +75,6 @@ __all__ = [
     "EngineConfig",
     "configure",
     "get_engine",
-    "install",
     "reset_engine",
 ]
 
@@ -118,9 +118,6 @@ class EngineConfig:
     #: tier, :mod:`repro.harness.artifacts`); requires ``cache`` and a
     #: little-endian host, silently off otherwise
     artifacts: bool = True
-    #: group prefetch cells that share a workload into one worker task
-    #: so the cell's trace/analysis materialize once per batch
-    batch_cells: bool = True
 
 
 def _env_int(name: str, default: str) -> int:
@@ -132,13 +129,17 @@ def _env_int(name: str, default: str) -> int:
             "%s must be an integer, got %r" % (name, text))
 
 
-def _env_float(name: str, default: str) -> float:
+def _env_float(name: str, default: str, positive: bool = False) -> float:
     text = os.environ.get(name, default)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(
             "%s must be a number, got %r" % (name, text))
+    if positive and not 0 < value < math.inf:
+        raise ValueError(
+            "%s must be a positive number, got %r" % (name, text))
+    return value
 
 
 def _env_backend() -> str:
@@ -150,26 +151,33 @@ def _env_backend() -> str:
     return name
 
 
+def cache_dir_from_env() -> str:
+    """The cache root (``REPRO_CACHE_DIR``), read without validating the
+    other engine variables: ``runs``, ``cache`` and ``obs`` need
+    nothing else."""
+    return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
+
+
 def config_from_env() -> EngineConfig:
     """Engine defaults, overridable through environment variables
     (``REPRO_JOBS``, ``REPRO_CACHE=0``, ``REPRO_CACHE_DIR``,
     ``REPRO_CELL_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
-    ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``,
-    ``REPRO_BATCH_CELLS=0``) so embeddings like pytest
-    pick them up without plumbing flags.  Malformed numeric values and
+    ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``) so
+    embeddings like pytest pick them up without plumbing flags.
+    Malformed numeric values, a cell timeout that is not positive and
     unknown backend names raise ``ValueError`` naming the offending
     variable."""
     return EngineConfig(
         jobs=_env_int("REPRO_JOBS", "1"),
         cache=os.environ.get("REPRO_CACHE", "1") != "0",
-        cache_dir=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
-        cell_timeout=_env_float("REPRO_CELL_TIMEOUT", "600"),
+        cache_dir=cache_dir_from_env(),
+        cell_timeout=_env_float("REPRO_CELL_TIMEOUT", "600",
+                                positive=True),
         retries=_env_int("REPRO_RETRIES", "1"),
         retry_backoff=_env_float("REPRO_RETRY_BACKOFF", "0.05"),
         partial=os.environ.get("REPRO_PARTIAL", "0") == "1",
         backend=_env_backend(),
         artifacts=os.environ.get("REPRO_ARTIFACTS", "1") != "0",
-        batch_cells=os.environ.get("REPRO_BATCH_CELLS", "1") != "0",
     )
 
 
@@ -1047,11 +1055,10 @@ class Engine:
         or disk; any prefetch failure silently falls back."""
         if self.config.jobs <= 1:
             return
-        #: cell -> (spec, pending machine configs); with batched
-        #: dispatch each group becomes ONE worker task that
-        #: materializes the cell once and runs every simulation
+        #: cell -> (spec, pending machine configs), in first-seen order;
+        #: each group becomes ONE worker task that materializes the
+        #: cell once and runs every simulation
         grouped: Dict[str, Tuple[CellSpec, List[MachineConfig]]] = {}
-        order: List[str] = []
         for run, machine_config in items:
             trace_key = getattr(run, "cache_key", None) or \
                 getattr(run, "trace_key", None)
@@ -1063,27 +1070,14 @@ class Engine:
             if self.cache and os.path.exists(
                     self.cache.entry_path("timing", key)):
                 continue
-            label = run.spec.describe()
-            if label not in grouped:
-                grouped[label] = (run.spec, [])
-                order.append(label)
-            grouped[label][1].append(machine_config)
+            grouped.setdefault(run.spec.describe(),
+                               (run.spec, []))[1].append(machine_config)
         if not grouped or self._pool_degraded:
             return
         obs_config = _worker_obs_config()
-        todo: List[Tuple[CellSpec, Tuple[MachineConfig, ...],
-                         EngineConfig, Tuple[str, ...], "object"]] = []
-        for label in order:
-            cell_spec, machine_configs = grouped[label]
-            if self.config.batch_cells:
-                batches = [tuple(machine_configs)]
-            else:
-                batches = [(machine_config,)
-                           for machine_config in machine_configs]
-            for batch in batches:
-                todo.append((cell_spec, batch, self.config,
-                             faults.draw_cell_faults(pool=True),
-                             obs_config))
+        todo = [(cell_spec, tuple(machine_configs), self.config,
+                 faults.draw_cell_faults(pool=True), obs_config)
+                for cell_spec, machine_configs in grouped.values()]
         workers = min(self.config.jobs, len(todo))
         context = _pool_context()
         with context.Pool(processes=workers) as pool:
@@ -1093,7 +1087,7 @@ class Engine:
                 try:
                     # One timeout budget per simulation in the batch.
                     batch_result = handle.get(
-                        self.config.cell_timeout * max(len(args[1]), 1))
+                        self.config.cell_timeout * len(args[1]))
                 except Exception:
                     # Purely an accelerator: a faulted prefetch cell
                     # just falls back to the serial simulate path.
@@ -1155,7 +1149,6 @@ class Engine:
             "backend": kernels.default_backend_name(),
             "backend_fingerprint": kernels.backend_fingerprint(),
             "artifacts": self.plane is not None,
-            "batch_cells": self.config.batch_cells,
         }
 
     def robustness(self) -> Dict[str, object]:
@@ -1205,17 +1198,6 @@ def configure(config: EngineConfig) -> Engine:
     """Install a fresh engine with *config* (CLI and benchmarks)."""
     global _ENGINE
     _ENGINE = Engine(config)
-    return _ENGINE
-
-
-def install(engine: Engine) -> Engine:
-    """Install an already-built engine as the process singleton.  The
-    experiment service uses this: jobs execute through the ordinary
-    :func:`get_engine`-resolving paths, and every client must hit the
-    service's one engine (one stage cache, one pool, one stats block),
-    not a second freshly-configured one."""
-    global _ENGINE
-    _ENGINE = engine
     return _ENGINE
 
 

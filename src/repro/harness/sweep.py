@@ -19,10 +19,10 @@ sweep point reuse them:
 * timing sweeps go through the engine's parallel prefetch + cached
   ``simulate``, with the base/elim pairing logic
   (:func:`elim_variant`) kept here so every experiment builds variants
-  the same way.  The engine batches prefetch dispatch per cell
-  (``EngineConfig.batch_cells``): all sweep points sharing a workload
-  travel to one worker, which materializes the cell's trace and
-  analysis once — from the mmap-backed artifact plane when it is on
+  the same way.  The engine batches prefetch dispatch per cell: all
+  sweep points sharing a workload travel to one worker, which
+  materializes the cell's trace and analysis once — from the
+  mmap-backed artifact plane when it is on
   (:mod:`repro.harness.artifacts`), so sibling workers share one
   physical copy of each trace's columns instead of unpickling their
   own.

@@ -170,13 +170,13 @@ def append_record(cache_dir: str,
                   record: Dict[str, object]) -> str:
     """Append one record to the run history; returns the path.
 
-    Concurrent harness invocations (pool workers, the experiment
-    service, plain parallel CLI runs) share one ``history.jsonl``, so
-    the append must never interleave: the whole line goes down as a
-    single ``write(2)`` on an ``O_APPEND`` descriptor, under an
-    advisory ``flock`` where the platform has one.  A torn line would
-    not crash the loader — it silently drops *both* writers' records
-    from the trajectory — which is exactly why it must not happen.
+    Concurrent harness invocations (pool workers, parallel CLI runs)
+    share one ``history.jsonl``, so the append must never interleave:
+    the whole line goes down as a single ``write(2)`` on an
+    ``O_APPEND`` descriptor, under an advisory ``flock`` where the
+    platform has one.  A torn line would not crash the loader — it
+    silently drops *both* writers' records from the trajectory — which
+    is exactly why it must not happen.
     """
     path = history_path(cache_dir)
     os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -15,8 +15,7 @@ exposes the live registry while a run executes (port 0 picks an
 ephemeral port; the chosen endpoint is printed before the first
 experiment starts), and ``repro-harness obs serve`` replays a stored
 run's ``metrics.prom``, re-reading the file per request so it follows
-a concurrently finishing run.  This is the first externally visible
-surface of the experiment service (ROADMAP item 2).
+a concurrently finishing run.
 """
 
 from __future__ import annotations

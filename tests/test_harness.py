@@ -138,8 +138,51 @@ def test_cli_runs_selected(capsys):
 def test_cli_rejects_unknown():
     from repro.harness.cli import main
 
-    with pytest.raises(SystemExit):
-        main(["F99"])
+    # "serve" is not a subcommand: it is an unknown experiment id.
+    for argv in (["F99"], ["serve"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["runs"], ["cache", "stats"],
+                                     ["obs", "history"]], ids=" ".join)
+def test_cache_commands_ignore_engine_env(command, monkeypatch, tmp_path,
+                                          capsys):
+    """`runs`, `cache` and `obs` read only REPRO_CACHE_DIR, so a
+    malformed engine variable must not stop them."""
+    from repro.harness.cli import main
+
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(command) == 0
+    if command[0] == "cache":
+        assert "cache root: %s" % tmp_path in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["runs", "--last", "0"],
+    ["runs", "--last", "-1"],
+    ["obs", "history", "--last", "0"],
+    ["obs", "trend", "--last", "-1"],
+    ["obs", "regress", "--window", "0"],
+    ["obs", "report", "--top", "-1"],
+    ["obs", "hotspots", "--top", "0"],
+    ["F1", "--scale", "0.3", "--no-meta", "--cell-timeout", "-1"],
+    ["F1", "--scale", "0.3", "--no-meta", "--cell-timeout", "0"],
+], ids=" ".join)
+def test_cli_rejects_non_positive_flags(argv, monkeypatch, tmp_path,
+                                        capsys):
+    """Counts slice (``records[-0:]`` is every record) and the cell
+    timeout bounds each pool task, so 0 and below are usage errors."""
+    from repro.harness.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    flag = argv[-2].lstrip("-")
+    assert "%s must be a positive" % flag in capsys.readouterr().err
 
 
 class TestTables:

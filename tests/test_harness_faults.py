@@ -368,6 +368,15 @@ class TestConfigFromEnv:
                            match="REPRO_CELL_TIMEOUT.*'soon'"):
             config_from_env()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_timeout_names_the_variable(self, monkeypatch,
+                                                     value):
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", value)
+        with pytest.raises(ValueError,
+                           match="REPRO_CELL_TIMEOUT must be a positive "
+                                 "number, got '%s'" % value):
+            config_from_env()
+
     def test_malformed_retries_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRIES", "1.5")
         with pytest.raises(ValueError, match="REPRO_RETRIES"):

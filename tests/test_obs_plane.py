@@ -392,8 +392,7 @@ class TestConcurrentHistory:
     def test_multiprocess_appends_drop_nothing(self, tmp_path):
         """Many processes hammering one history.jsonl must produce
         zero torn lines and zero lost records — the locked
-        single-write O_APPEND contract the experiment service and
-        parallel CLI runs rely on."""
+        single-write O_APPEND contract parallel CLI runs rely on."""
         import multiprocessing
 
         cache = str(tmp_path)
