@@ -396,6 +396,9 @@ class TestRoundTrip:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), src))
         env.pop("REPRO_BACKEND", None)
+        # A round trip, not fault tolerance: an injected plane-write
+        # fault would make the store return None.
+        env.pop("REPRO_FAULTS", None)
         script = (
             "import pickle, tempfile\n"
             "from repro import kernels\n"
