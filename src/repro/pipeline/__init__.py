@@ -8,10 +8,11 @@ Wrong-path execution is not simulated; a mispredicted branch stalls
 fetch from its fetch cycle until it resolves plus a redirect penalty
 (standard trace-driven methodology).
 
-:mod:`repro.pipeline.elimination` hooks the paper's mechanism into
-rename and commit: predicted-dead instructions skip register
-allocation, issue, execution, register-file traffic, and data-cache
-access; consumer reads of a squashed mapping trigger rollback recovery.
+:mod:`repro.pipeline.elimination` holds the paper's mechanism, which
+the core reads as columns at rename and commit: predicted-dead
+instructions skip register allocation, issue, execution, register-file
+traffic, and data-cache access; consumer reads of a squashed mapping
+trigger rollback recovery.
 
 Entry point: :func:`simulate` over a trace + deadness labels, with a
 :class:`MachineConfig` preset (:func:`default_config`,

@@ -8,10 +8,20 @@ resource freed at commit is available to rename in the same cycle
 The front end is per-instruction: fetch walks the trace window up to
 ``fetch_width`` instructions a cycle, stopping at the first
 actual-taken control transfer or mispredicted branch (the gshare/RAS
-predictions are precomputed once per run by :func:`_control_flags`), and
-rename reads each instruction's operands from the program's static
-fact tables.  Decode does not affect any elimination result: the
-paper's mechanism acts at rename.
+predictions are precomputed by :func:`control_flags`, once per analysis
+and branch-predictor setting, and shared by every run of a sweep), and
+rename reads one decoded tuple of static facts per instruction.
+Decode does not affect any elimination result: the paper's mechanism
+acts at rename.
+
+The dead predictor is read as columns (:mod:`repro.pipeline.elimination`):
+rename checks the blacklist and the strikes, then compares one table
+entry; commit trains that table inline.  The lookup precedes the
+IQ/LSQ/register stall checks, so an instruction that stalls is
+predicted again on each rename attempt, and ``elim_predictions`` counts
+every attempt.  Hot event counters are locals, added to
+:class:`PipelineStats` when the loop ends; telemetry samples read the
+locals.
 
 Rename-map conventions: ``rat[arch]`` holds an ``int`` physical
 register, or an :class:`InFlight` object when the architectural
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.liveness import DeadnessAnalysis, analyze_deadness
 from repro.analysis.statics import StaticTable
@@ -76,30 +86,32 @@ class InFlight:
     __slots__ = ("seq", "tidx", "sidx", "pc", "fu", "srcs", "src_tokens",
                  "token_readers", "arch_dest", "new_preg", "old_preg",
                  "is_load", "is_store", "mispredict", "eliminated",
-                 "verified", "verifies", "verified_by", "issued",
-                 "done_at", "squashed", "committed", "recovered",
-                 "stall_cycles")
+                 "verified", "verifies", "verified_by", "done_at",
+                 "squashed", "committed", "recovered", "stall_cycles")
 
-    def __init__(self, seq: int, tidx: int, sidx: int, pc: int, fu: int):
+    def __init__(self, seq: int, tidx: int, sidx: int, pc: int, fu: int,
+                 srcs: List[int], src_tokens: List["InFlight"],
+                 arch_dest: int, old_preg, new_preg: Optional[int],
+                 is_load: bool, is_store: bool, mispredict: int,
+                 eliminated: bool):
         self.seq = seq
         self.tidx = tidx
         self.sidx = sidx
         self.pc = pc
         self.fu = fu
-        self.srcs: List[int] = []
-        self.src_tokens: List["InFlight"] = []
+        self.srcs = srcs
+        self.src_tokens = src_tokens
         self.token_readers: List["InFlight"] = []
-        self.arch_dest = 0
-        self.new_preg: Optional[int] = None
-        self.old_preg = None  # int or InFlight token
-        self.is_load = False
-        self.is_store = False
-        self.mispredict = False
-        self.eliminated = False
+        self.arch_dest = arch_dest
+        self.old_preg = old_preg  # int or InFlight token; None: no dest
+        self.new_preg = new_preg
+        self.is_load = is_load
+        self.is_store = is_store
+        self.mispredict = mispredict
+        self.eliminated = eliminated
         self.verified = False
         self.verifies: Optional["InFlight"] = None
         self.verified_by: Optional["InFlight"] = None
-        self.issued = False
         self.done_at = _INF
         self.squashed = False
         self.committed = False
@@ -131,25 +143,42 @@ class PipelineResult:
     timeline: Optional[Dict[str, object]] = None
 
 
-def _classify_fu(statics: StaticTable) -> List[int]:
-    fu = []
-    for index in range(len(statics)):
-        opcode = statics.opcode[index]
-        if statics.is_load[index] or statics.is_store[index]:
-            fu.append(_FU_MEM)
-        elif statics.is_branch[index]:
-            fu.append(_FU_BRANCH)
-        elif opcode in (Opcode.MUL, Opcode.MULH):
-            fu.append(_FU_MUL)
-        elif opcode in (Opcode.DIV, Opcode.REM):
-            fu.append(_FU_DIV)
-        else:
-            fu.append(_FU_ALU)
-    return fu
+#: Function-unit class by opcode, for the classes that depend on it.
+_FU_BY_OPCODE = {Opcode.MUL: _FU_MUL, Opcode.MULH: _FU_MUL,
+                 Opcode.DIV: _FU_DIV, Opcode.REM: _FU_DIV}
+
+
+def _decode_statics(statics: StaticTable,
+                    elim: Optional[EliminationEngine],
+                    eliminate_stores: bool) -> List[tuple]:
+    """One tuple of rename-time facts per static instruction:
+    ``(pc, dest, src1, src2, is_load, is_store, is_mem, fu, slot_base,
+    slot_tag)``.  ``slot_base`` is None where rename does not consult
+    the dead predictor: everywhere without elimination, else everywhere
+    but eligible instructions and (with ``eliminate_stores``) stores."""
+    is_load = statics.is_load
+    is_store = statics.is_store
+    is_mem = [load or store for load, store in zip(is_load, is_store)]
+    fu = [_FU_MEM if mem else _FU_BRANCH if branch
+          else _FU_BY_OPCODE.get(opcode, _FU_ALU)
+          for mem, branch, opcode in zip(is_mem, statics.is_branch,
+                                         statics.opcode)]
+    if elim is None:
+        slot_base = slot_tag = [None] * len(statics)
+    else:
+        slot_base = [base if eligible or (store and eliminate_stores)
+                     else None
+                     for base, eligible, store in zip(
+                         elim.slot_base, statics.eligible, is_store)]
+        slot_tag = elim.slot_tag
+    return list(zip([instruction.pc
+                     for instruction in statics.program.instructions],
+                    statics.dest, statics.src1, statics.src2, is_load,
+                    is_store, is_mem, fu, slot_base, slot_tag))
 
 
 def _control_flags(trace: Trace, statics: StaticTable,
-                   config: MachineConfig):
+                   config: MachineConfig) -> Tuple[bytes, bytes]:
     """Precompute, per dynamic instruction, whether it mispredicts and
     whether it ends the fetch group (actual-taken control transfer)."""
     gshare = GshareBranchPredictor(config.gshare_entries,
@@ -158,8 +187,8 @@ def _control_flags(trace: Trace, statics: StaticTable,
     pcs = trace.pcs
     taken = trace.taken
     n = len(pcs)
-    mispredict = [False] * n
-    ends_group = [False] * n
+    mispredict = bytearray(n)
+    ends_group = bytearray(n)
     is_cond = statics.is_cond_branch
     opcode = statics.opcode
     sidx = trace.static_indices()
@@ -178,7 +207,24 @@ def _control_flags(trace: Trace, statics: StaticTable,
             elif op == Opcode.JALR:
                 actual_target = pcs[i + 1] if i + 1 < n else -1
                 mispredict[i] = not ras.predict_return(actual_target)
-    return mispredict, ends_group
+    return bytes(mispredict), bytes(ends_group)
+
+
+def control_flags(analysis: DeadnessAnalysis,
+                  config: MachineConfig) -> Tuple[bytes, bytes]:
+    """:func:`_control_flags` of *analysis*'s trace, memoized on
+    *analysis* per (gshare entries, gshare history, RAS depth) as
+    ``_control_flag_columns``: every run of a sweep over one trace
+    shares the front end's branch predictions."""
+    key = (config.gshare_entries, config.gshare_history, config.ras_depth)
+    memo = getattr(analysis, "_control_flag_columns", None)
+    if memo is None:
+        memo = analysis._control_flag_columns = {}
+    flags = memo.get(key)
+    if flags is None:
+        flags = memo[key] = _control_flags(analysis.trace,
+                                           analysis.statics, config)
+    return flags
 
 
 class Simulator:
@@ -197,16 +243,11 @@ class Simulator:
         self.elimination: Optional[EliminationEngine] = None
         if self.config.eliminate:
             self.elimination = EliminationEngine(self.config, analysis)
-        self._fu_class = _classify_fu(self.statics)
-        self._mispredict, self._ends_group = _control_flags(
-            trace, self.statics, self.config)
+        self._mispredict, self._ends_group = control_flags(analysis,
+                                                           self.config)
         #: cycle-sampled telemetry; None (the default) costs one
         #: ``is not None`` test per cycle in the main loop.
         self.timeline = new_timeline()
-        config = self.config
-        self._latency = [config.alu_latency, config.mul_latency,
-                         config.div_latency, config.agen_latency,
-                         config.branch_latency]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -217,26 +258,42 @@ class Simulator:
         config = self.config
         stats = self.stats
         statics = self.statics
-        pcs = trace.pcs
         addrs = trace.addrs
         static_idx = trace.static_indices()
-        n = len(pcs)
+        n = len(trace.pcs)
 
-        s_dest = statics.dest
-        s_src1 = statics.src1
-        s_src2 = statics.src2
-        s_eligible = statics.eligible
-        s_load = statics.is_load
-        s_store = statics.is_store
+        elim = self.elimination
+        decoded = _decode_statics(statics, elim, config.eliminate_stores)
         s_cond = statics.is_cond_branch
-        fu_class = self._fu_class
-        latencies = self._latency
+        latencies = (config.alu_latency, config.mul_latency,
+                     config.div_latency, config.agen_latency,
+                     config.branch_latency)
         mispredict_flags = self._mispredict
         ends_group = self._ends_group
-        elim = self.elimination
-        train_stores = config.eliminate_stores
         use_replay = config.recovery_mode == "replay"
         timeline = self.timeline
+        l1d_access = self.l1d.access
+
+        # The dead predictor as the core sees it: the table, the slot
+        # inputs (per-static fields in ``decoded``, per-dynamic paths)
+        # and the recovery state.  Lookup and training are inline below.
+        if elim is not None:
+            predictor = elim.predictor
+            tags = predictor.tags
+            confs = predictor.confs
+            threshold = predictor.threshold
+            conf_max = predictor.conf_max
+            path_shift = predictor.path_shift
+            lookup_paths = elim.predicted_path
+            train_paths = elim.actual_path
+            dead_labels = elim.dead_labels
+            # Per static: the slot base commit trains at, or None.
+            train_base = [static[8] for static in decoded]
+            train_tag = elim.slot_tag
+            blacklist = elim.blacklist
+            strikes = elim.strikes
+            max_strikes = elim.max_strikes
+            note_success = elim.note_success
 
         # Rename state: merged physical register file.
         rat: List[object] = list(range(_NUM_ARCH))
@@ -282,7 +339,14 @@ class Simulator:
         lsq_size = config.lsq_size
         rf_read_ports = config.rf_read_ports
         verify_timeout = config.verify_timeout
-        eliminate_stores = config.eliminate_stores
+        redirect_penalty = config.redirect_penalty
+
+        # Hot event counters live in locals and are added to ``stats``
+        # at the end; the recovery paths count on ``stats`` directly.
+        preg_allocs = preg_frees = rf_reads = rf_writes = 0
+        dcache_accesses = branches = branch_mispredicts = 0
+        eliminated_count = elim_predictions = verify_stalls = 0
+        stalls_preg = stalls_iq = stalls_rob = stalls_lsq = 0
 
         while committed < n:
             if cycle >= max_cycles:
@@ -295,7 +359,7 @@ class Simulator:
                 head = rob[0]
                 if head.eliminated:
                     if not head.commit_ready():
-                        stats.verify_stall_cycles += 1
+                        verify_stalls += 1
                         head.stall_cycles += 1
                         if head.stall_cycles > verify_timeout:
                             stats.timeout_recoveries += 1
@@ -318,35 +382,43 @@ class Simulator:
                                     config.recovery_penalty
                                 lsq_used = self._recount_lsq(rob)
                         break
-                else:
-                    if head.done_at > cycle:
-                        break
+                elif head.done_at > cycle:
+                    break
+                elif head.is_store:
+                    dcache_accesses += 1
+                    l1d_access(addrs[head.tidx])
+                    lsq_used -= 1
+                elif head.is_load:
+                    lsq_used -= 1
                 rob.popleft()
                 head.committed = True
-                tidx = head.tidx
-                if head.is_store and not head.eliminated:
-                    stats.dcache_accesses += 1
-                    self.l1d.access(addrs[tidx])
-                    lsq_used -= 1
-                elif head.is_load and not head.eliminated:
-                    lsq_used -= 1
                 if head.arch_dest:
                     old = head.old_preg
-                    if isinstance(old, int):
+                    if old.__class__ is int:
                         free_list.append(old)
-                        stats.preg_frees += 1
+                        preg_frees += 1
                     # Token old mapping: the eliminated producer had no
                     # physical register -- a saved allocation and free.
-                if elim is not None and head.eliminated \
-                        and not head.recovered:
-                    elim.note_success(head.pc)
-                if elim is not None and not head.recovered and (
-                        s_eligible[head.sidx] or
-                        (train_stores and s_store[head.sidx])):
-                    # Instructions that forced a recovery already
-                    # trained "live" there; training them dead again at
-                    # commit would re-arm the same costly prediction.
-                    elim.train_commit(tidx, head.pc)
+                # Instructions that forced a recovery already trained
+                # "live" there; training them dead again at commit
+                # would re-arm the same costly prediction.
+                if elim is not None and not head.recovered:
+                    if head.eliminated:
+                        note_success(head.pc)
+                    base = train_base[head.sidx]
+                    if base is not None:
+                        tidx = head.tidx
+                        slot = base ^ (train_paths[tidx] << path_shift)
+                        tag = train_tag[head.sidx]
+                        if tags[slot] != tag:
+                            if dead_labels[tidx]:
+                                tags[slot] = tag
+                                confs[slot] = 1
+                        elif dead_labels[tidx]:
+                            if confs[slot] < conf_max:
+                                confs[slot] += 1
+                        else:
+                            confs[slot] = 0
                 committed += 1
                 commits += 1
                 if elim is not None and not committed & 1023:
@@ -356,50 +428,38 @@ class Simulator:
                 break
 
             # ---- issue ----
-            fu_used = [0, 0, 0, 0, 0]
-            rf_reads_left = rf_read_ports
             issued = 0
             if iq:
+                fu_used = [0, 0, 0, 0, 0]
+                rf_reads_left = rf_read_ports
                 remaining: List[InFlight] = []
                 for entry in iq:
-                    if entry.squashed:
-                        continue
-                    if issued >= issue_width:
-                        remaining.append(entry)
-                        continue
-                    fu = entry.fu
-                    if fu_used[fu] >= fu_limits[fu]:
-                        remaining.append(entry)
-                        continue
-                    reads = len(entry.srcs)
-                    if reads > rf_reads_left:
-                        remaining.append(entry)
-                        continue
-                    ready = True
                     for preg in entry.srcs:
                         if ready_at[preg] > cycle:
-                            ready = False
+                            remaining.append(entry)
                             break
-                    if not ready:
-                        remaining.append(entry)
-                        continue
-                    # Issue it.
-                    fu_used[fu] += 1
-                    rf_reads_left -= reads
-                    stats.rf_reads += reads
-                    issued += 1
-                    latency = latencies[fu]
-                    if entry.is_load:
-                        stats.dcache_accesses += 1
-                        latency += self.l1d.access(addrs[entry.tidx])
-                    entry.done_at = cycle + latency
-                    entry.issued = True
-                    if entry.new_preg is not None:
-                        ready_at[entry.new_preg] = entry.done_at
-                        stats.rf_writes += 1
-                    if entry.mispredict:
-                        fetch_resume = entry.done_at + \
-                            config.redirect_penalty
+                    else:
+                        fu = entry.fu
+                        reads = len(entry.srcs)
+                        if (issued >= issue_width
+                                or fu_used[fu] >= fu_limits[fu]
+                                or reads > rf_reads_left):
+                            remaining.append(entry)
+                            continue
+                        fu_used[fu] += 1
+                        rf_reads_left -= reads
+                        rf_reads += reads
+                        issued += 1
+                        latency = latencies[fu]
+                        if entry.is_load:
+                            dcache_accesses += 1
+                            latency += l1d_access(addrs[entry.tidx])
+                        done_at = entry.done_at = cycle + latency
+                        if entry.new_preg is not None:
+                            ready_at[entry.new_preg] = done_at
+                            rf_writes += 1
+                        if entry.mispredict:
+                            fetch_resume = done_at + redirect_penalty
                 iq = remaining
 
             # ---- rename / dispatch ----
@@ -407,37 +467,35 @@ class Simulator:
             flush_fired = False
             while (renamed < rename_width and fq_head < fq_tail
                    and cycle >= rename_blocked_until):
+                if len(rob) >= rob_size:
+                    stalls_rob += 1
+                    break
                 tidx = fq_head
                 sidx = static_idx[tidx]
-                pc = pcs[tidx]
-                if len(rob) >= rob_size:
-                    stats.rename_stalls_rob += 1
-                    break
-                is_load = s_load[sidx]
-                is_store = s_store[sidx]
-                dest = s_dest[sidx]
-                src1 = s_src1[sidx]
-                src2 = s_src2[sidx]
-                eligible = s_eligible[sidx]
-                fu = fu_class[sidx]
+                (pc, dest, src1, src2, is_load, is_store, is_mem, fu,
+                 base, tag) = decoded[sidx]
 
+                # The dead-predictor lookup comes before the stall
+                # checks: a stalled instruction is predicted again on
+                # its next rename attempt, and each attempt counts.
                 eliminated = False
-                if elim is not None:
-                    if (eligible or
-                            (is_store and eliminate_stores)):
-                        stats.elim_predictions += 1
-                        eliminated = elim.should_eliminate(tidx, pc)
+                if base is not None:
+                    elim_predictions += 1
+                    if tidx not in blacklist and \
+                            strikes.get(pc, 0) < max_strikes:
+                        slot = base ^ (lookup_paths[tidx] << path_shift)
+                        eliminated = (tags[slot] == tag
+                                      and confs[slot] >= threshold)
 
                 if not eliminated:
                     if len(iq) >= iq_size:
-                        stats.rename_stalls_iq += 1
+                        stalls_iq += 1
                         break
-                    if (is_load or is_store) and \
-                            lsq_used >= lsq_size:
-                        stats.rename_stalls_lsq += 1
+                    if is_mem and lsq_used >= lsq_size:
+                        stalls_lsq += 1
                         break
                     if dest and len(free_list) <= preg_reserve:
-                        stats.rename_stalls_preg += 1
+                        stalls_preg += 1
                         break
 
                 # Read source mappings.  A live consumer finding a
@@ -449,20 +507,19 @@ class Simulator:
                     if src <= 0:
                         continue
                     mapping = rat[src]
-                    if isinstance(mapping, InFlight):
-                        if mapping.committed:
-                            # Verified-dead producer re-exposed by a
-                            # flush: this consumer is itself dead, the
-                            # value is architectural garbage (sound,
-                            # see module docstring).
-                            continue
-                        if eliminated:
-                            src_tokens.append(mapping)
-                        else:
-                            dead_producer = mapping
-                            break
-                    else:
+                    if mapping.__class__ is int:
                         srcs.append(mapping)
+                    elif mapping.committed:
+                        # Verified-dead producer re-exposed by a flush:
+                        # this consumer is itself dead, the value is
+                        # architectural garbage (sound, see module
+                        # docstring).
+                        continue
+                    elif eliminated:
+                        src_tokens.append(mapping)
+                    else:
+                        dead_producer = mapping
+                        break
 
                 if dead_producer is not None:
                     stats.reader_recoveries += 1
@@ -485,37 +542,27 @@ class Simulator:
                     flush_fired = True
                     break
 
-                entry = InFlight(seq, tidx, sidx, pc, fu)
-                seq += 1
-                entry.srcs = srcs
-                entry.is_load = is_load
-                entry.is_store = is_store
-                entry.mispredict = mispredict_flags[tidx]
-                entry.eliminated = eliminated
-                if eliminated:
-                    entry.src_tokens = src_tokens
-                    for token in src_tokens:
-                        token.token_readers.append(entry)
-
+                old = new_preg = None
                 if dest:
                     old = rat[dest]
-                    entry.arch_dest = dest
-                    entry.old_preg = old
-                    if isinstance(old, InFlight) and not old.committed \
+                    if not eliminated:
+                        new_preg = free_list.popleft()
+                        ready_at[new_preg] = _INF
+                        preg_allocs += 1
+                entry = InFlight(seq, tidx, sidx, pc, fu, srcs, src_tokens,
+                                 dest, old, new_preg, is_load, is_store,
+                                 mispredict_flags[tidx], eliminated)
+                seq += 1
+
+                if dest:
+                    if old.__class__ is InFlight and not old.committed \
                             and old.eliminated and not old.verified:
                         # Overwriting a squashed mapping verifies that
                         # the eliminated producer really was dead.
                         old.verified = True
                         old.verified_by = entry
                         entry.verifies = old
-                    if eliminated:
-                        rat[dest] = entry
-                    else:
-                        preg = free_list.popleft()
-                        rat[dest] = preg
-                        ready_at[preg] = _INF
-                        entry.new_preg = preg
-                        stats.preg_allocs += 1
+                    rat[dest] = entry if eliminated else new_preg
                 elif eliminated and is_store:
                     # An eliminated store poisons no rename mapping; its
                     # deadness is verified by the overwriting store in
@@ -524,11 +571,13 @@ class Simulator:
                     entry.verified = True
 
                 if eliminated:
-                    stats.eliminated += 1
+                    eliminated_count += 1
                     entry.done_at = cycle  # never executes
+                    for token in src_tokens:
+                        token.token_readers.append(entry)
                 else:
                     iq.append(entry)
-                    if is_load or is_store:
+                    if is_mem:
                         lsq_used += 1
                 rob.append(entry)
                 fq_head += 1
@@ -546,11 +595,10 @@ class Simulator:
                     tidx = fq_tail
                     fq_tail += 1
                     fetched += 1
-                    sidx = static_idx[tidx]
-                    if s_cond[sidx]:
-                        stats.branches += 1
+                    if s_cond[static_idx[tidx]]:
+                        branches += 1
                     if mispredict_flags[tidx]:
-                        stats.branch_mispredicts += 1
+                        branch_mispredicts += 1
                         fetch_resume = _INF  # until it resolves
                         break
                     if ends_group[tidx]:
@@ -559,12 +607,26 @@ class Simulator:
             if timeline is not None and cycle >= timeline.next_due:
                 timeline.record(cycle, len(rob), len(iq), lsq_used,
                                 fq_tail - fq_head, renamed, issued,
-                                commits, committed, stats.eliminated,
+                                commits, committed, eliminated_count,
                                 stats.reader_recoveries
                                 + stats.timeout_recoveries, fq_tail)
             cycle += 1
 
         stats.committed = committed
+        stats.preg_allocs += preg_allocs
+        stats.preg_frees += preg_frees
+        stats.rf_reads += rf_reads
+        stats.rf_writes += rf_writes
+        stats.dcache_accesses += dcache_accesses
+        stats.branches += branches
+        stats.branch_mispredicts += branch_mispredicts
+        stats.eliminated += eliminated_count
+        stats.elim_predictions += elim_predictions
+        stats.verify_stall_cycles += verify_stalls
+        stats.rename_stalls_preg += stalls_preg
+        stats.rename_stalls_iq += stalls_iq
+        stats.rename_stalls_rob += stalls_rob
+        stats.rename_stalls_lsq += stalls_lsq
         stats.dcache_misses = self.l1d.stats.misses
         stats.recoveries = (stats.reader_recoveries
                             + stats.timeout_recoveries)
@@ -679,9 +741,9 @@ class Simulator:
             if entry.verifies is not None:
                 entry.verifies.verified = False
                 entry.verifies = None
-        for entry in iq:
-            if entry.seq >= target.seq:
-                entry.squashed = True
+        # Every IQ entry is in the ROB, so the walk above squashed the
+        # younger ones; drop them from the issue scan.
+        iq[:] = [entry for entry in iq if entry.seq < target.seq]
         target.recovered = True
         if self.elimination is not None:
             self.elimination.note_recovery(target.tidx, target.pc)

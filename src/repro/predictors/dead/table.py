@@ -8,14 +8,16 @@ so confidence clears instantly on a live outcome along the learned
 path, while coverage builds with a small saturating counter.
 
 Each design states its rule once, as the loop of its :meth:`walk`, with
-the slot and tag arithmetic inline.  :class:`PathDeadPredictor` also
-keeps per-instruction ``predict``/``train``: the timing simulator
-drives it one instruction at a time at rename and commit.
+the slot and tag arithmetic inline.  :class:`PathDeadPredictor` states
+its slot/tag layout in :meth:`~PathDeadPredictor.pc_fields`, which its
+walk and the timing simulator's elimination engine share; the
+simulator does the lookup at rename and the training at commit inline,
+over those fields and its precomputed path columns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.predictors.dead.base import DeadPredictor
 
@@ -67,73 +69,52 @@ class PathDeadPredictor(DeadPredictor):
         self._index_bits = entries.bit_length() - 1
         self._tag_mask = (1 << tag_bits) - 1
         self._path_mask = (1 << path_bits) - 1
-        self._path_shift = self._index_bits - path_bits
-        self._conf_max = (1 << conf_bits) - 1
+        #: the lookup geometry the timing simulator reads (see
+        #: :meth:`pc_fields`)
+        self.path_shift = self._index_bits - path_bits
+        self.conf_max = (1 << conf_bits) - 1
         self.tags: List[int] = [-1] * entries  # -1 == invalid
         self.confs: List[int] = [0] * entries
 
-    def _slot(self, pc: int, path: int) -> "tuple[int, int]":
-        word = pc >> 2
-        # Fold the path into the high index bits so consecutive static
-        # instructions do not collide with each other's paths.
-        index = (word ^ ((path & self._path_mask) << self._path_shift)) \
-            & (self.entries - 1)
-        tag = (word >> self._index_bits) & self._tag_mask
-        return index, tag
+    def pc_fields(self, pcs: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """The table layout, stated once: per pc, the index bits of its
+        instruction word and its tag.
 
-    def predict(self, pc: int, predicted_path: int, index: int) -> bool:
-        slot, tag = self._slot(pc, predicted_path)
-        return self.tags[slot] == tag and \
-            self.confs[slot] >= self.threshold
-
-    def train(self, pc: int, dead: bool, actual_path: int,
-              index: int) -> None:
-        slot, tag = self._slot(pc, actual_path)
-        if self.tags[slot] != tag:
-            if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
-                self.tags[slot] = tag
-                self.confs[slot] = 1
-            return
-        if dead:
-            if self.confs[slot] < self._conf_max:
-                self.confs[slot] += 1
-        else:
-            self.confs[slot] = 0
+        ``(pc, path)`` selects slot ``index ^ ((path & path_mask) <<
+        path_shift)``: the path folds into the high index bits, so
+        consecutive static instructions do not collide with each
+        other's paths.  :meth:`walk` and the timing simulator's
+        elimination engine both build their slots from these fields.
+        """
+        index_mask = self.entries - 1
+        tag_shift = self._index_bits + 2
+        tag_mask = self._tag_mask
+        return ([(pc >> 2) & index_mask for pc in pcs],
+                [(pc >> tag_shift) & tag_mask for pc in pcs])
 
     def walk(self, stream: PredictionStream,
              paths: PathInfo) -> List[bool]:
-        # predict() then train() per event, _slot() inlined.
         tags = self.tags
         confs = self.confs
         threshold = self.threshold
-        conf_max = self._conf_max
-        index_bits = self._index_bits
-        index_mask = self.entries - 1
-        tag_mask = self._tag_mask
+        conf_max = self.conf_max
         path_mask = self._path_mask
-        path_shift = self._path_shift
+        path_shift = self.path_shift
         predicted = paths.predicted
         actual = paths.actual
         probe = self.probe
         predictions: List[bool] = []
         append = predictions.append
-        for i, pc, dead in zip(stream.eligible_index, stream.eligible_pc,
-                               stream.eligible_dead):
-            word = pc >> 2
-            tag = (word >> index_bits) & tag_mask
+        for i, index, tag, dead in zip(stream.eligible_index,
+                                       *self.pc_fields(stream.eligible_pc),
+                                       stream.eligible_dead):
             path = predicted[i]
-            slot = (word ^ ((path & path_mask) << path_shift)) & index_mask
+            slot = index ^ ((path & path_mask) << path_shift)
             append(tags[slot] == tag and confs[slot] >= threshold)
             # Most branches are predicted right: then training uses the
             # slot the lookup used.
             if actual[i] != path:
-                slot = (word ^ ((actual[i] & path_mask) << path_shift)) \
-                    & index_mask
+                slot = index ^ ((actual[i] & path_mask) << path_shift)
             if tags[slot] != tag:
                 if dead:
                     if probe is not None:

@@ -197,3 +197,38 @@ def test_max_cycles_guard(simple_loop_trace):
     simulator = Simulator(simple_loop_trace, default_config())
     with pytest.raises(RuntimeError):
         simulator.run(max_cycles=3)
+
+
+def test_sweep_shares_front_end_per_analysis(monkeypatch):
+    """An E2-style register sweep on one analysis walks gshare/RAS once
+    per (gshare, RAS) setting and builds the future-path columns once
+    per (gshare, path width) setting; every run equals a run on a
+    fresh analysis."""
+    from repro.pipeline import core, elimination
+    from repro.pipeline.config import DeadPredictorConfig
+
+    _, trace = get_workload("sort").run(scale=0.2)
+    analysis = analyze_deadness(trace)
+    calls = {"flags": 0, "paths": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core, "_control_flags",
+                        counted("flags", core._control_flags))
+    monkeypatch.setattr(elimination, "compute_paths",
+                        counted("paths", elimination.compute_paths))
+    configs = [contended_config(phys_regs=regs, eliminate=eliminate)
+               for regs in (44, 56, 72) for eliminate in (False, True)]
+    # One new key for each memo.
+    configs.append(contended_config(eliminate=True, ras_depth=4))
+    configs.append(contended_config(
+        eliminate=True, dead_predictor=DeadPredictorConfig(path_bits=2)))
+    shared = [simulate(trace, config, analysis) for config in configs]
+    assert calls == {"flags": 2, "paths": 2}
+    for config, result in zip(configs, shared):
+        fresh = simulate(trace, config, analyze_deadness(trace))
+        assert result.stats.to_dict() == fresh.stats.to_dict(), config

@@ -2,8 +2,9 @@
 
 The fuzz tests establish that no configuration breaks the invariants;
 these tests force *specific* corner cases through a scripted
-elimination engine (eliminate exactly the dynamic instances I say) so
-each soundness mechanism is exercised deterministically:
+elimination engine (eliminate exactly the dynamic instances I say, fed
+to the core through the same columns the real engine fills) so each
+soundness mechanism is exercised deterministically:
 
 * reader-triggered replay of a single instruction,
 * chained replay through transitively eliminated producers,
@@ -19,22 +20,39 @@ from repro.emulator import run_program
 from repro.isa import assemble
 from repro.pipeline import default_config, simulate
 from repro.pipeline.core import Simulator
+from repro.predictors import PathDeadPredictor
 
 
 class ScriptedElimination:
-    """Drop-in for EliminationEngine: eliminates chosen trace indices."""
+    """Drop-in for EliminationEngine: eliminates chosen trace indices.
 
-    def __init__(self, target_indices):
-        self.targets = set(target_indices)
+    It fills the columns the core reads at rename and commit.  Slot 1
+    of a two-entry table holds a saturated "dead" entry and slot 0
+    stays empty.  Each chosen instance looks up along path 1 (slot 1)
+    and every other lookup along path 0 (slot 0, a tag miss).  Training
+    runs along path 0 with live labels, and a live outcome on a tag
+    miss changes nothing, so the script never drifts.
+    """
+
+    def __init__(self, target_indices, analysis):
+        n = len(analysis.trace)
+        n_static = len(analysis.statics)
+        self.predictor = PathDeadPredictor(entries=2, tag_bits=1,
+                                           path_bits=1, conf_bits=1,
+                                           threshold=1)
+        self.predictor.tags[1] = 0
+        self.predictor.confs[1] = 1
+        self.slot_base = [0] * n_static
+        self.slot_tag = [0] * n_static
+        self.predicted_path = bytes(tidx in target_indices
+                                    for tidx in range(n))
+        self.actual_path = bytes(n)
+        self.dead_labels = [False] * n
         self.blacklist = set()
+        self.strikes = {}
+        self.max_strikes = 1
         self.recoveries = []
         self.successes = []
-
-    def should_eliminate(self, tidx, pc):
-        return tidx in self.targets and tidx not in self.blacklist
-
-    def train_commit(self, tidx, pc):
-        pass
 
     def note_success(self, pc):
         self.successes.append(pc)
@@ -53,7 +71,7 @@ def _simulate_with_script(source, target_indices, **config_overrides):
     analysis = analyze_deadness(trace)
     config = default_config(eliminate=True, **config_overrides)
     simulator = Simulator(trace, config, analysis)
-    script = ScriptedElimination(target_indices)
+    script = ScriptedElimination(target_indices, analysis)
     simulator.elimination = script
     result = simulator.run()
     assert result.stats.committed == len(trace)
@@ -233,7 +251,7 @@ loop:
     assert len(targets) == 30
     config = default_config(eliminate=True)
     simulator = Simulator(trace, config, analysis)
-    simulator.elimination = ScriptedElimination(targets)
+    simulator.elimination = ScriptedElimination(targets, analysis)
     result = simulator.run()
     assert result.stats.committed == len(trace)
     assert result.stats.eliminated == 30

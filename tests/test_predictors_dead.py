@@ -45,46 +45,44 @@ def _walk(predictor, items):
 
 
 class TestPathPredictor:
+    """Each event is looked up on its path, then trained with its label
+    on the same path (``_walk``)."""
+
     def test_needs_threshold_dead_observations(self):
         predictor = PathDeadPredictor(threshold=2)
-        assert not predictor.predict(PC, 5, 0)
-        predictor.train(PC, True, 5, 0)
-        assert not predictor.predict(PC, 5, 0)
-        predictor.train(PC, True, 5, 0)
-        assert predictor.predict(PC, 5, 0)
+        assert _walk(predictor, [(PC, True, 5)] * 3) == \
+            [False, False, True]
 
     def test_paths_learn_independently(self):
         predictor = PathDeadPredictor(threshold=2)
-        for _ in range(3):
-            predictor.train(PC, True, 5, 0)
-        assert predictor.predict(PC, 5, 0)
-        assert not predictor.predict(PC, 2, 0)  # other path untrained
+        predictions = _walk(predictor, [(PC, True, 5)] * 4
+                            + [(PC, True, 2)])
+        assert predictions[3]
+        assert not predictions[4]  # other path untrained
 
     def test_live_outcome_clears_confidence(self):
         predictor = PathDeadPredictor(threshold=2)
-        for _ in range(3):
-            predictor.train(PC, True, 5, 0)
-        predictor.train(PC, False, 5, 0)
-        assert not predictor.predict(PC, 5, 0)
+        predictions = _walk(predictor, [(PC, True, 5)] * 3
+                            + [(PC, False, 5), (PC, True, 5)])
+        assert predictions[3]
+        assert not predictions[4]
 
     def test_live_on_other_path_does_not_clear(self):
         predictor = PathDeadPredictor(threshold=2)
-        for _ in range(3):
-            predictor.train(PC, True, 5, 0)
-        predictor.train(PC, False, 2, 0)
-        assert predictor.predict(PC, 5, 0)
+        predictions = _walk(predictor, [(PC, True, 5)] * 3
+                            + [(PC, False, 2), (PC, True, 5)])
+        assert predictions[4]
 
     def test_no_allocation_on_live(self):
         predictor = PathDeadPredictor()
-        predictor.train(PC, False, 5, 0)
+        _walk(predictor, [(PC, False, 5)])
         assert all(tag == -1 for tag in predictor.tags)
 
     def test_confidence_saturates(self):
         predictor = PathDeadPredictor(conf_bits=2, threshold=2)
-        for _ in range(100):
-            predictor.train(PC, True, 5, 0)
-        slot, _ = predictor._slot(PC, 5)
-        assert predictor.confs[slot] == 3
+        _walk(predictor, [(PC, True, 5)] * 100)
+        # One entry allocated, its counter pinned at the 2-bit maximum.
+        assert [conf for conf in predictor.confs if conf] == [3]
 
     def test_storage_under_5kb(self):
         predictor = PathDeadPredictor(entries=2048, tag_bits=8,
