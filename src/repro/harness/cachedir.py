@@ -129,6 +129,7 @@ STAGE_CODE = {
     "analysis": ("analysis", "kernels"),
     "paths": ("predictors", "analysis", "kernels"),
     "timing": ("pipeline", "predictors", "analysis", "kernels", "keys"),
+    "predict": ("predictors", "analysis", "kernels"),
 }
 
 

@@ -7,16 +7,21 @@ Every experiment decomposes into the same stage graph per
                                      │
                                      ├──analysis──> deadness labels
                                      ├──paths────> future-path views
+                                     ├──predict──> predictor counters
                                      └──timing───> pipeline statistics
 
 Each arrow is a cacheable stage with a content-addressed key (see
 ``repro.harness.cachedir``): the compile key hashes the generated
-source text and the canonical compiler-option key; every downstream
-key chains from its parent's key plus the salt of the code that
-implements the stage.  Identical inputs therefore always reuse the
-artifact, and *any* relevant change — source, options, seed/scale (via
-the source text), machine config, or the implementing code itself —
-recomputes exactly the invalidated suffix of the graph.
+source text and the canonical compiler-option key; the trace key
+hashes the workload and the assembly the compile stage produced, so
+options that compile to one program share everything past compile;
+every downstream key chains from the trace key plus the salt of the
+code that implements the stage.  Identical inputs therefore always
+reuse the artifact, and *any* relevant change — source, options,
+seed/scale (via the source text), machine config, or the implementing
+code itself — recomputes exactly the invalidated suffix of the graph.
+``predict`` lives in :mod:`repro.harness.sweep`, next to the walks it
+caches; ``paths`` and ``timing`` are :class:`Engine` methods.
 
 Independent cells fan out across a ``multiprocessing`` pool
 (``jobs > 1``) with deterministic result ordering (input order, not
@@ -295,21 +300,22 @@ def _bytes_to_bools(blob: bytes) -> List[bool]:
     return [byte == 1 for byte in blob]
 
 
-#: compile_key -> (Program, StaticTable); one assemble + static-table
-#: build per distinct program per process.  Cells in a sweep share a
-#: handful of programs, and both the payload computation and the
+#: trace_key -> (Program, StaticTable); one assemble + static-table
+#: build per distinct program per process.  The trace key names the
+#: workload and its assembly, so cells whose options compile to the
+#: same program share one entry.  Both the payload computation and the
 #: parent-side materialization need them — this keeps the shared cost
 #: out of every per-cell path (the objects are immutable in use).
 _PROGRAM_MEMO: Dict[str, Tuple["object", "object"]] = {}
 
 
-def _program_for(compile_key: str, asm: str, name: str):
+def _program_for(trace_key: str, asm: str, name: str):
     """``(program, statics)`` for one compiled cell, memoized."""
-    entry = _PROGRAM_MEMO.get(compile_key)
+    entry = _PROGRAM_MEMO.get(trace_key)
     if entry is None:
         program = assemble(asm, name=name)
         entry = (program, StaticTable(program))
-        _PROGRAM_MEMO[compile_key] = entry
+        _PROGRAM_MEMO[trace_key] = entry
     return entry
 
 
@@ -385,11 +391,14 @@ def _compute_cell_payload(spec: CellSpec,
             cache.store("compile", compile_key, asm)
     stages["compile"] = {"hit": hit,
                          "seconds": time.perf_counter() - started}
-    program, _statics = _program_for(compile_key, asm, spec.workload)
 
     # -- trace --------------------------------------------------------
-    trace_key = stable_hash("trace", compile_key, str(MAX_STEPS),
+    # Keyed by the program, not by the options that compiled it:
+    # options that compile to the same assembly share the trace and
+    # every stage chained from it.
+    trace_key = stable_hash("trace", spec.workload, asm, str(MAX_STEPS),
                             stage_salt("trace"))
+    program, _statics = _program_for(trace_key, asm, spec.workload)
     started = time.perf_counter()
     expected = workload.reference(spec.scale)
     t_key = (artifacts.artifact_key("trace", trace_key)
@@ -604,7 +613,7 @@ def _payload_to_artifact(spec: CellSpec,
     raises :class:`~repro.harness.artifacts.ArtifactUnavailable` —
     callers fall back to recomputing from the pickle tier
     (:func:`_materialize_payload`)."""
-    program, statics = _program_for(payload["compile_key"],
+    program, statics = _program_for(payload["trace_key"],
                                     payload["asm"], spec.workload)
     trace = Trace(program)
     t_handle = payload.get("trace_artifact")
@@ -1117,18 +1126,24 @@ class Engine:
             cached = compute_paths(run.trace, statics,
                                    path_bits=path_bits)
             self.cache.store("paths", key, cached)
-        seconds = time.perf_counter() - started
-        self.stats.add("paths", hit, seconds)
+        self.note_stage("paths", hit, time.perf_counter() - started,
+                        run.trace.program.name)
+        return cached
+
+    def note_stage(self, stage: str, hit: bool, seconds: float,
+                   workload: str) -> None:
+        """Account one request of a stage served outside a cell
+        (``paths`` here, ``predict`` in :mod:`repro.harness.sweep`):
+        stage stats, plus a ``stage:<name>`` span and a
+        ``repro_stage_total`` count when telemetry is on."""
+        self.stats.add(stage, hit, seconds)
         collector = obs.get_collector()
         if collector is not None:
-            collector.tracer.add(
-                "stage:paths", seconds, hit=hit,
-                workload=run.trace.program.name)
+            collector.tracer.add("stage:%s" % stage, seconds, hit=hit,
+                                 workload=workload)
             collector.registry.counter(
                 "repro_stage_total", "stage executions by outcome",
-                stage="paths",
-                result="hit" if hit else "miss").inc()
-        return cached
+                stage=stage, result="hit" if hit else "miss").inc()
 
     # -- bookkeeping --------------------------------------------------
 

@@ -58,7 +58,10 @@ from repro.predictors import (
     OracleDeadPredictor,
     PathDeadPredictor,
     ProfileDeadPredictor,
-    evaluate_predictor,
+    # Not called here (walks run in the predict stage, harness/
+    # sweep.py), but the span sites of benchmarks/e2e/spans.py look
+    # this name up.
+    evaluate_predictor,  # noqa: F401
 )
 from repro.predictors.dead.table import SignatureDeadPredictor
 from repro.workloads import workload_names
@@ -215,12 +218,10 @@ def _workload_factor() -> Factor:
 
 def _predictor_cell(ctx: RunTableContext, run, predictor,
                     path_bits: int) -> Dict[str, object]:
-    """Evaluate one predictor on one workload: per-cell accuracy and
-    coverage (the stats metrics) plus the raw counters."""
-    stats = DeadPredictionStats()
-    paths = ctx.paths_for(run, path_bits)
-    evaluate_predictor(run.analysis, predictor, paths, stats,
-                       stream=ctx.stream_for(run))
+    """Evaluate one predictor on one workload through the cached
+    ``predict`` stage: per-cell accuracy and coverage (the stats
+    metrics) plus the raw counters."""
+    stats = ctx.predict(run, predictor, path_bits)
     metrics: Dict[str, object] = {
         "accuracy": stats.accuracy, "coverage": stats.coverage}
     for counter in _PREDICTOR_COUNTERS:

@@ -230,7 +230,7 @@ class RunTableContext:
         self.scale = scale
         self.engine = engine if engine is not None else get_engine()
         self.rep = 0
-        self._sweep = SweepExecutor([], engine=self.engine)
+        self._sweep = SweepExecutor(self.engine)
         self._generated: Dict[Tuple[str, str], SuiteRun] = {}
 
     # -- workload resolution ------------------------------------------
@@ -290,6 +290,9 @@ class RunTableContext:
 
     def stream_for(self, run: SuiteRun):
         return self._sweep.stream_for(run)
+
+    def predict(self, run: SuiteRun, predictor, path_bits: int):
+        return self._sweep.predict(run, predictor, path_bits)
 
     def simulate(self, run: SuiteRun, config: MachineConfig):
         return self._sweep.simulate(run, config)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.kernels.base import PredictionStream
@@ -79,6 +79,19 @@ class DeadPredictor:
 
     name = "abstract"
     probe = None
+    #: the constructor arguments that decide the walk; :meth:`key`
+    #: names each with its value
+    key_args: Tuple[str, ...] = ()
+
+    def key(self) -> str:
+        """The design and its geometry, as ``ClassName(arg=value,...)``
+        over :attr:`key_args`: the predictor's part of the harness's
+        ``predict`` stage key.  A freshly built predictor's walk over
+        one stream depends on nothing else, so equal keys mean equal
+        predictions; the state a walk leaves in the tables is not
+        part of it."""
+        return "%s(%s)" % (type(self).__name__, ",".join(
+            "%s=%r" % (arg, getattr(self, arg)) for arg in self.key_args))
 
     def walk(self, stream: PredictionStream,
              paths: PathInfo) -> List[bool]:

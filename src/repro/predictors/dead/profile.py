@@ -18,6 +18,7 @@ implementable hardware.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Set
 
 from repro import kernels
@@ -34,23 +35,30 @@ class ProfileDeadPredictor(DeadPredictor):
     dead — the ceiling of compile-time dead-code removal."""
 
     name = "profile"
+    # The profile is the run's own analysis, which the trace key in a
+    # ``predict`` stage key already covers.
+    key_args = ("threshold",)
 
     def __init__(self, analysis: DeadnessAnalysis,
                  threshold: float = 0.999):
+        self.analysis = analysis
         self.threshold = threshold
+
+    @cached_property
+    def always_dead(self) -> Set[int]:
+        """The profiled-dead statics, built on first use: a cached
+        evaluation never walks, so it never needs them."""
         totals = {}
         deads = {}
         # The profile is exactly the eligible-event stream the kernel
         # layer already extracted (and sweeps share across points).
-        stream = kernels.prediction_stream_for(analysis)
+        stream = kernels.prediction_stream_for(self.analysis)
         for pc, is_dead in zip(stream.eligible_pc, stream.eligible_dead):
             totals[pc] = totals.get(pc, 0) + 1
             if is_dead:
                 deads[pc] = deads.get(pc, 0) + 1
-        self.always_dead: Set[int] = {
-            pc for pc, total in totals.items()
-            if deads.get(pc, 0) / total >= threshold
-        }
+        return {pc for pc, total in totals.items()
+                if deads.get(pc, 0) / total >= self.threshold}
 
     def walk(self, stream: PredictionStream,
              paths: PathInfo) -> List[bool]:

@@ -52,6 +52,8 @@ class PathDeadPredictor(DeadPredictor):
     """
 
     name = "path"
+    key_args = ("entries", "tag_bits", "path_bits", "conf_bits",
+                "threshold")
 
     def __init__(self, entries: int = 2048, tag_bits: int = 8,
                  path_bits: int = 3, conf_bits: int = 2,
@@ -151,6 +153,8 @@ class SignatureDeadPredictor(DeadPredictor):
     """
 
     name = "signature"
+    key_args = ("entries", "tag_bits", "path_bits", "conf_bits",
+                "threshold")
 
     def __init__(self, entries: int = 2048, tag_bits: int = 8,
                  path_bits: int = 3, conf_bits: int = 2,
@@ -232,6 +236,7 @@ class BimodalDeadPredictor(DeadPredictor):
     """
 
     name = "bimodal"
+    key_args = ("entries", "tag_bits", "conf_bits", "threshold")
 
     def __init__(self, entries: int = 2048, tag_bits: int = 8,
                  conf_bits: int = 2, threshold: int = 2):
@@ -303,6 +308,8 @@ class HistoryDeadPredictor(DeadPredictor):
     """
 
     name = "history"
+    key_args = ("entries", "tag_bits", "history_bits", "conf_bits",
+                "threshold")
 
     def __init__(self, entries: int = 2048, tag_bits: int = 8,
                  history_bits: int = 3, conf_bits: int = 2,
@@ -388,6 +395,9 @@ class OracleDeadPredictor(DeadPredictor):
     """Perfect dead-instruction knowledge (upper bound, zero state)."""
 
     name = "oracle"
+    # The labels are the run's own analysis, which the trace key in a
+    # ``predict`` stage key already covers.
+    key_args = ()
 
     def __init__(self, dead_labels: Sequence[bool]):
         self.dead_labels = dead_labels

@@ -88,6 +88,30 @@ class TestStageCache:
         engine.run_cells([spec()])
         assert engine.stats.hits("compile") == 1
 
+    def test_options_compiling_to_one_program_share_its_trace(
+            self, tmp_path):
+        # -O0 does not hoist, so the hoist limit changes the compile
+        # key but not the assembly: everything past compile is shared.
+        engine = make_engine(tmp_path)
+        first = engine.run_cells([spec(opt_level=0, max_hoist=1)])[0]
+        second = engine.run_cells([spec(opt_level=0, max_hoist=4)])[0]
+        assert engine.stats.misses("compile") == 2
+        assert first.compile_key != second.compile_key
+        assert first.trace_key == second.trace_key
+        for stage in ("trace", "analysis"):
+            assert engine.stats.misses(stage) == 1, stage
+            assert engine.stats.hits(stage) == 1, stage
+        config = contended_config()
+        for artifact in (first, second):
+            engine.simulate(artifact.trace, config, artifact.analysis,
+                            trace_key=artifact.trace_key)
+        assert engine.stats.misses("timing") == 1
+        assert engine.stats.hits("timing") == 1
+        # Hoist limits that change the program keep their own trace.
+        two, four = engine.run_cells([spec(max_hoist=2),
+                                      spec(max_hoist=4)])
+        assert two.trace_key != four.trace_key
+
     def test_corrupt_entry_recomputes(self, tmp_path):
         # Pin the artifact plane off: this exercises the pickle tier's
         # own corruption handling (a live plane would transparently

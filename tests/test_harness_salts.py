@@ -19,14 +19,15 @@ import repro
 from repro.harness.cachedir import STAGE_CODE
 
 #: stage -> the stages whose keys its key hashes in (through
-#: ``compile_key`` or ``trace_key``), and whose salts therefore
-#: cover it too
+#: ``trace_key``), and whose salts therefore cover it too.  The trace
+#: key hashes the compile stage's output, the assembly, not its key.
 CHAINED = {
     "compile": (),
-    "trace": ("compile",),
-    "analysis": ("trace", "compile"),
-    "paths": ("trace", "compile"),
-    "timing": ("trace", "compile"),
+    "trace": (),
+    "analysis": ("trace",),
+    "paths": ("trace",),
+    "timing": ("trace",),
+    "predict": ("trace",),
 }
 
 #: stage -> {imported subpackage: why leaving it out of the salt is
@@ -39,6 +40,9 @@ ALLOWED = {
         # Only workloads/__main__.py, the deadness-summary command,
         # imports it; no stage runs that module.
         "analysis": "command-line summary only",
+        # Workload.compile and Workload.run compile the source; the
+        # trace stage runs the compiled assembly, which its key hashes.
+        "lang": "keyed by the compiled assembly",
     },
     # The kernels record pass timings for telemetry; results never
     # depend on it.
@@ -49,6 +53,9 @@ ALLOWED = {
     # Observed simulations carry a timeline; their keys add
     # obs.timing_fingerprint().
     "timing": {"obs": "keyed by obs.timing_fingerprint()"},
+    # Probes and pass timings are telemetry, and an observed
+    # evaluation always walks: it never reads the stage.
+    "predict": {"obs": "observed evaluations never read the stage"},
 }
 
 ROOT = os.path.dirname(os.path.abspath(repro.__file__))

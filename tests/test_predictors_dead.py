@@ -1,4 +1,7 @@
-"""Dead-instruction predictor designs: training policy, stats, storage."""
+"""Dead-instruction predictor designs: training policy, stats, storage,
+cache keys."""
+
+import inspect
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.predictors import (
     HistoryDeadPredictor,
     OracleDeadPredictor,
     PathDeadPredictor,
+    ProfileDeadPredictor,
     compute_paths,
     evaluate_predictor,
 )
@@ -227,3 +231,68 @@ class TestHistoryPredictor:
 
         assert hits(PathDeadPredictor(threshold=2)) > 80
         assert hits(HistoryDeadPredictor(threshold=2)) == 0
+
+
+DESIGNS = (PathDeadPredictor, SignatureDeadPredictor, BimodalDeadPredictor,
+           HistoryDeadPredictor, ProfileDeadPredictor, OracleDeadPredictor)
+
+#: design -> constructor arguments its key leaves out.  Both read the
+#: run's own analysis, and the trace key in a predict-stage key covers
+#: that.
+KEY_EXEMPT = {
+    ProfileDeadPredictor: {"analysis"},
+    OracleDeadPredictor: {"dead_labels"},
+}
+
+#: a valid non-default value per integer constructor argument
+CHANGED = {"entries": 4096, "tag_bits": 6, "path_bits": 2,
+           "history_bits": 2, "conf_bits": 3, "threshold": 1}
+
+
+def _keyed_arguments(design):
+    return [parameter for name, parameter
+            in inspect.signature(design).parameters.items()
+            if name not in KEY_EXEMPT.get(design, ())]
+
+
+def _build(design, **arguments):
+    # The exempt arguments are never read before a walk.
+    for name in KEY_EXEMPT.get(design, ()):
+        arguments[name] = None
+    return design(**arguments)
+
+
+class TestKeys:
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_every_constructor_argument_is_keyed(self, design):
+        key = _build(design).key()
+        for parameter in _keyed_arguments(design):
+            assert "%s=" % parameter.name in key, key
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_equal_geometry_equal_key(self, design):
+        assert _build(design).key() == _build(design).key()
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_any_changed_argument_changes_the_key(self, design):
+        default = _build(design).key()
+        for parameter in _keyed_arguments(design):
+            value = (parameter.default / 2
+                     if isinstance(parameter.default, float)
+                     else CHANGED[parameter.name])
+            assert _build(design, **{parameter.name: value}).key() \
+                != default, parameter.name
+
+    def test_designs_never_share_a_key(self):
+        keys = {_build(design).key() for design in DESIGNS}
+        assert len(keys) == len(DESIGNS)
+
+    def test_default_path_has_one_key_under_four_names(self):
+        from repro.harness.experiments import _F6_DESIGNS
+
+        paper = dict(_F6_DESIGNS)["path-indexed (paper)"][0](None)
+        keys = {PathDeadPredictor(entries=2048).key(),  # F5
+                paper.key(),  # F6
+                PathDeadPredictor(path_bits=3).key(),  # A1
+                PathDeadPredictor(conf_bits=2, threshold=2).key()}  # A2
+        assert keys == {PathDeadPredictor().key()}
