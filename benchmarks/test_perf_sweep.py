@@ -1,10 +1,9 @@
 """Sweep-throughput benchmarks for the artifact plane
 (``BENCH_sweep.json``).
 
-Where ``test_perf_pipeline.py`` characterizes single-trace kernel
-passes, this file measures what the artifact plane was built for: the
-**hot multi-process sweep** — many cells re-materialized over a warm
-cache, fanned across worker processes.  For plane on and plane off it
+This file measures what the artifact plane was built for: the **hot
+multi-process sweep** — many cells re-materialized over a warm cache,
+fanned across worker processes.  For plane on and plane off it
 records, over the same six-cell suite:
 
 * the cold wall time (fresh cache, serial) — what a first run pays,
@@ -17,9 +16,8 @@ records, over the same six-cell suite:
 
 The acceptance gate asserts the headline claim: with workers attaching
 mmap-backed column bundles instead of unpickling per-worker copies,
-the hot ``jobs=2`` sweep is at least 2x the plane-off throughput.  The
-gate needs NumPy (zero-copy hydration); the trajectory is recorded
-either way.  Byte-identity between the two modes is asserted here on
+the hot ``jobs=2`` sweep is at least 2x the plane-off throughput.
+Byte-identity between the two modes is asserted here on
 the benchmarked cells and, exhaustively, by ``tests/test_fault_matrix``.
 
 ``BENCH_sweep.json`` is rewritten at the repo root; see
@@ -34,9 +32,6 @@ import statistics
 import tempfile
 import time
 
-import pytest
-
-from repro import kernels
 from repro.harness.engine import CellSpec, Engine, EngineConfig
 from repro.lang import CompilerOptions
 
@@ -100,8 +95,6 @@ def test_perf_sweep(benchmark):
         "jobs": list(JOBS),
         "rounds": ROUNDS,
         "warmup": WARMUP,
-        "numpy": kernels.HAVE_NUMPY,
-        "backend": kernels.default_backend_name(),
         "modes": {},
     }
     roots = {}
@@ -158,9 +151,6 @@ def test_perf_sweep(benchmark):
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    if not kernels.HAVE_NUMPY:
-        pytest.skip("NumPy absent: zero-copy hydration off, "
-                    "speedup gate not applicable")
     assert hot_off / hot_on >= 2.0, \
         "hot jobs=2 sweep under 2x with the artifact plane: " \
         "on=%.4fs off=%.4fs" % (hot_on, hot_off)

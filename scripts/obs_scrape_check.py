@@ -34,8 +34,8 @@ import urllib.request
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO, "results", "obs-baseline.jsonl")
-#: must mirror the baseline's config fingerprint (backend,
-#: experiments, scale) — see repro.obs.history.fingerprint
+#: must mirror the baseline's config fingerprint (experiments,
+#: scale) — see repro.obs.history.fingerprint
 EXPERIMENTS = ["F7", "F8"]
 SCALE = "0.3"
 THRESHOLD = "50"
@@ -69,7 +69,6 @@ def main() -> int:
     cache = tempfile.mkdtemp(prefix="repro-obs-scrape-")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
-    env.pop("REPRO_BACKEND", None)  # fingerprint pins backend=python
     command = [sys.executable, "-m", "repro.harness.cli",
                *EXPERIMENTS, "--scale", SCALE, "--jobs", "2",
                "--obs", "--serve-metrics", "0", "--cache-dir", cache]

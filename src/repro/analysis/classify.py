@@ -94,7 +94,7 @@ def classify_statics(analysis: DeadnessAnalysis) -> StaticClassification:
         tallies = fused.counts
     else:
         decoded = kernels.decode(analysis.trace, statics)
-        tallies = kernels.get_backend().static_counts(decoded, analysis.dead)
+        tallies = kernels.static_counts(decoded, analysis.dead)
     totals = tallies.totals
     deads = tallies.deads
 

@@ -70,7 +70,7 @@ def kill_distances(analysis: DeadnessAnalysis) -> KillDistanceStats:
         kills = fused.kills
     else:
         decoded = kernels.decode(analysis.trace, analysis.statics)
-        kills = kernels.get_backend().kill_distances(decoded, analysis.dead)
+        kills = kernels.kill_distances(decoded, analysis.dead)
     # Copy: callers may mutate their stats; the fused columns are shared.
     return KillDistanceStats(
         distances=list(kills.distances),

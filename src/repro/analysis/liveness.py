@@ -27,10 +27,9 @@ instructions), using per-register liveness flags and a word-granular
 memory liveness map.  Because consumers appear after producers in the
 trace, one backward pass computes transitive deadness exactly.
 
-The pass itself lives in the kernel layer (:mod:`repro.kernels` — the
-``python`` backend is the reference implementation, the ``columnar``
-backend the NumPy one) and runs *fused*: kill distances and
-per-static instance counters are computed in the same backward walk, so
+The pass itself lives in the kernel layer (:func:`repro.kernels.fused`)
+and runs *fused*: kill distances and per-static instance counters are
+computed in the same backward walk, so
 :func:`~repro.analysis.distance.kill_distances` and
 :func:`~repro.analysis.classify.classify_statics` on a freshly analyzed
 trace cost no extra pass.
@@ -107,7 +106,7 @@ def analyze_deadness(trace: Trace, statics: StaticTable = None,
         statics = StaticTable(trace.program)
 
     decoded = kernels.decode(trace, statics)
-    fused = kernels.get_backend().fused(decoded, track_stores=track_stores)
+    fused = kernels.fused(decoded, track_stores=track_stores)
     columns = fused.deadness
 
     result = DeadnessAnalysis(trace=trace, statics=statics)

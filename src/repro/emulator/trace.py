@@ -39,9 +39,9 @@ class Trace:
         #: lazily decoded static-index column (see static_indices)
         self._sidx: List[int] = []
         #: attached artifact-plane column bundle, if the harness
-        #: materialized this trace from one (duck-typed — the kernel
-        #: layer hydrates its columns from here instead of re-deriving;
-        #: see ``repro.harness.artifacts``)
+        #: materialized this trace from one (duck-typed — the static
+        #: index column is read from here instead of re-decoded; see
+        #: ``repro.harness.artifacts``)
         self.artifact_bundle = None
 
     def __len__(self) -> int:
@@ -71,7 +71,7 @@ class Trace:
                 except Exception:
                     pass  # fall through to a fresh decode
             from repro import kernels
-            self._sidx = kernels.get_backend().static_indices(self)
+            self._sidx = kernels.static_indices(self)
         return self._sidx
 
     def static_index(self, i: int) -> int:

@@ -1,18 +1,19 @@
-"""The zero-copy columnar artifact plane (cache tier two).
+"""The mmap-backed columnar artifact plane (cache tier two).
 
 The stage cache (``cachedir.py``) stores pickle blobs: correct, but a
 hot multi-process sweep pays to *unpickle the same trace in every
 worker, for every cell* — ~3 list-of-int decodes per cell plus the
 same bytes pickled back through the result pipe.  The artifact plane
-removes that data movement.  Each trace's decoded micro-op table and
-derived kernel columns are persisted **once**, as a checksummed flat
-columnar file that every process opens with ``mmap``:
+removes that data movement.  Each trace's columns (static indices
+included) and each analysis's labels and fused-pass columns are
+persisted **once**, as a checksummed flat columnar file that every
+process opens with ``mmap``:
 
 * read-only mappings share the OS page cache — N workers attaching the
   same bundle cost one physical copy;
 * columns are raw little-endian arrays at 64-byte-aligned offsets, so
-  NumPy backends get **zero-copy** ``frombuffer`` views and list-based
-  backends hydrate with one C-level ``array``/``bytearray`` pass;
+  a column hydrates with one C-level ``memoryview.cast(...).tolist()``
+  pass over the mapped pages;
 * workers hand the parent an :class:`ArtifactHandle` (key + path +
   checksum + length) instead of the column data, so the result pipe
   carries ~100 bytes per cell instead of megabytes.
@@ -28,9 +29,7 @@ File format (``.cols``)::
 TOC ``columns`` maps name -> ``[dtype, count, offset]`` with offsets
 relative to the aligned data start; dtypes are ``i8`` (little-endian
 int64) and ``u1`` (one byte per element: bools, 0/1 label blobs, or
-raw pickled bytes).  The format is deliberately NumPy-*optional*: the
-plane works (and is tested) without NumPy, it is just no longer
-zero-copy there.
+raw pickled bytes).
 
 Robustness contract (docs/harness.md): the plane is an accelerator,
 never a correctness dependency.  :meth:`ArtifactPlane.attach` returns
@@ -59,11 +58,6 @@ import tempfile
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    np = None
 
 from repro.harness import faults
 from repro.harness.cachedir import code_salt, stable_hash
@@ -100,13 +94,16 @@ PLANE_DIR = "artifacts"
 #: Corrupt bundles are moved here (mirrors ``stages/_quarantine``).
 QUARANTINE_DIR = "_quarantine"
 
-#: The format stores raw little-endian arrays; on a big-endian host the
-#: engine simply leaves the plane off and runs on the pickle tier.
+#: The format stores raw little-endian arrays, written and read in the
+#: host's native order; on a big-endian host the engine simply leaves
+#: the plane off and runs on the pickle tier.
 PLANE_SUPPORTED = sys.byteorder == "little"
 
 _HEADER_LEN = len(MAGIC) + 64 + 1  # magic + checksum hex + newline
 _ALIGN = 64
 _ITEM_SIZE = {"i8": 8, "u1": 1}
+#: ``memoryview.cast`` format per column dtype.
+_CAST = {"i8": "q", "u1": "?"}
 #: TOC lines are one short JSON object; bounding the newline scan keeps
 #: a garbage file from forcing a full-file search.
 _TOC_SCAN_LIMIT = 1 << 20
@@ -124,13 +121,9 @@ class ArtifactUnavailable(Exception):
 
 def artifact_key(kind: str, parent_key: str) -> str:
     """The plane key for one bundle: chained from the owning stage key
-    plus the bundle schema, the active kernel backend (a backend bug
-    must never masquerade as a plane hit — same rule as the analysis
-    stage), and the salt of the code that writes/reads bundles."""
-    from repro import kernels
-
+    plus the bundle schema and the salt of the code that writes/reads
+    bundles."""
     return stable_hash("artifact", kind, parent_key, ARTIFACT_SCHEMA,
-                       kernels.backend_fingerprint(),
                        code_salt("kernels", "harness.artifacts"))
 
 
@@ -143,23 +136,16 @@ def _aligned(position: int) -> int:
     return (position + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def i8_bytes(values) -> bytes:
-    """Little-endian int64 raw bytes from a list or ndarray."""
-    if np is not None:
-        return np.ascontiguousarray(
-            np.asarray(values, dtype="<i8")).tobytes()
-    data = array("q", values)
-    if sys.byteorder != "little":  # pragma: no cover - plane is off
-        data.byteswap()
-    return data.tobytes()
+def i8_bytes(values: Sequence[int]) -> bytes:
+    """Native (little-endian, see :data:`PLANE_SUPPORTED`) int64 raw
+    bytes from a sequence of ints."""
+    return array("q", values).tobytes()
 
 
 def u1_bytes(values) -> bytes:
     """One-byte-per-element raw bytes (bools, 0/1 blobs, raw bytes)."""
     if isinstance(values, (bytes, bytearray)):
         return bytes(values)
-    if np is not None and isinstance(values, np.ndarray):
-        return np.ascontiguousarray(values.astype(np.uint8)).tobytes()
     return bytes(bytearray(values))
 
 
@@ -276,8 +262,8 @@ class ColumnBundle:
             try:
                 mapped.close()
             except (BufferError, OSError):
-                # A live frombuffer view still references the map;
-                # leave it to process teardown.
+                # A live view still references the map; leave it to
+                # process teardown.
                 pass
 
     # -- column access ------------------------------------------------
@@ -292,36 +278,23 @@ class ColumnBundle:
                 "column %r is %s, wanted %s" % (name, entry[0], dtype))
         return int(entry[1]), self._data_start + int(entry[2])
 
-    def array(self, name: str):
-        """Zero-copy NumPy view of one column (read-only, backed by
-        the mapped pages).  NumPy-only; list backends use the
-        ``ints``/``bools``/``blob`` hydrators."""
-        dtype = self._columns[name][0]
+    def _hydrate(self, name: str, dtype: str) -> list:
+        """One column as a plain list, read in place through the
+        buffer protocol; the views are released before returning, so
+        they never keep the map open."""
         count, start = self._locate(name, dtype)
-        kind = np.dtype("<i8") if dtype == "i8" else np.bool_
-        return np.frombuffer(self._buffer, dtype=kind, count=count,
-                             offset=start)
+        end = start + count * _ITEM_SIZE[dtype]
+        with memoryview(self._buffer) as view, \
+                view[start:end] as raw, raw.cast(_CAST[dtype]) as column:
+            return column.tolist()
 
     def ints(self, name: str) -> List[int]:
         """One ``i8`` column as a plain list of Python ints."""
-        count, start = self._locate(name, "i8")
-        if np is not None:
-            return np.frombuffer(self._buffer, dtype=np.dtype("<i8"),
-                                 count=count, offset=start).tolist()
-        data = array("q")
-        data.frombytes(bytes(self._buffer[start:start + count * 8]))
-        if sys.byteorder != "little":  # pragma: no cover
-            data.byteswap()
-        return data.tolist()
+        return self._hydrate(name, "i8")
 
     def bools(self, name: str) -> List[bool]:
         """One ``u1`` column as a plain list of Python bools."""
-        count, start = self._locate(name, "u1")
-        if np is not None:
-            return np.frombuffer(self._buffer, dtype=np.bool_,
-                                 count=count, offset=start).tolist()
-        return [byte == 1
-                for byte in bytes(self._buffer[start:start + count])]
+        return self._hydrate(name, "u1")
 
     def blob(self, name: str) -> bytes:
         """One ``u1`` column as raw bytes."""
@@ -573,15 +546,8 @@ def store_trace_bundle(plane: ArtifactPlane, key: str, program,
                        addrs: Sequence[int],
                        output: Sequence[object]
                        ) -> Optional[ArtifactHandle]:
-    """Persist one trace's dynamic columns plus its static indices.
-    Under the ``columnar`` backend the bundle also carries the derived
-    kernel columns that backend hydrates (word addresses and the sorted
-    read/write-successor key indexes); bundle keys include the backend
-    fingerprint, so no other backend ever reads them."""
-    from repro import kernels
-    from repro.analysis.statics import StaticTable
+    """Persist one trace's dynamic columns plus its static indices."""
     from repro.emulator.trace import Trace
-    from repro.kernels import columnar
 
     trace = Trace(program)
     trace.pcs = list(pcs)
@@ -594,9 +560,6 @@ def store_trace_bundle(plane: ArtifactPlane, key: str, program,
         ("sidx", "i8", i8_bytes(trace.static_indices())),
         ("out", "u1", pickle.dumps(list(output), protocol=2)),
     ]
-    if kernels.default_backend_name() == "columnar":
-        columns.extend(columnar.plane_columns(trace,
-                                              StaticTable(program)))
     return plane.store(key, "trace", len(trace.pcs), columns)
 
 

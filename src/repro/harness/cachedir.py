@@ -394,7 +394,8 @@ class CacheDir:
            drop_quarantine: bool = True) -> Dict[str, int]:
         """Garbage-collect the cache: sweep stale temp files, drop
         quarantined entries, and (with *max_bytes*) evict the
-        oldest-used live entries until the store fits the bound.
+        least recently written live entries (oldest mtime first; a
+        load does not touch mtime) until the store fits the bound.
         Returns counts: ``tmp_swept``, ``quarantine_dropped``,
         ``evicted``, ``remaining_bytes``."""
         import shutil

@@ -57,35 +57,38 @@ from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.obs.logging import setup_logging
 
 
-def _positive_float(name: str):
-    """An argparse type for strictly positive finite floats whose
-    error message names the offending variable (``scale must be a
-    positive number, got '-1'``)."""
+def _positive_float(name: str, zero: bool = False):
+    """An argparse type for strictly positive finite floats (with
+    *zero*, also 0) whose error message names the offending variable
+    (``scale must be a positive number, got '-1'``)."""
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "%s must be a number, got %r" % (name, text))
-        if not math.isfinite(value) or value <= 0:
+        if not math.isfinite(value) or value < 0 or (value == 0 and not zero):
             raise argparse.ArgumentTypeError(
-                "%s must be a positive number, got %r" % (name, text))
+                "%s must be a %s number, got %r"
+                % (name, "non-negative" if zero else "positive", text))
         return value
     return parse
 
 
-def _positive_int(name: str):
-    """An argparse type for integers >= 1; the error message names the
-    offending variable (``reps must be a positive integer, got '0'``)."""
+def _positive_int(name: str, zero: bool = False):
+    """An argparse type for integers >= 1 (with *zero*, >= 0); the
+    error message names the offending variable (``reps must be a
+    positive integer, got '0'``)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "%s must be an integer, got %r" % (name, text))
-        if value < 1:
+        if value < (0 if zero else 1):
             raise argparse.ArgumentTypeError(
-                "%s must be a positive integer, got %r" % (name, text))
+                "%s must be a %s integer, got %r"
+                % (name, "non-negative" if zero else "positive", text))
         return value
     return parse
 
@@ -121,13 +124,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="disable the mmap-backed columnar "
                              "artifact plane; cells unpickle from the "
                              "stage cache instead (REPRO_ARTIFACTS=0)")
-    from repro.kernels import available_backends
-
-    parser.add_argument("--backend", default=defaults.backend,
-                        choices=available_backends(), metavar="NAME",
-                        help="trace-kernel backend (%s; default: "
-                             "REPRO_BACKEND or 'python')"
-                             % ", ".join(available_backends()))
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -139,7 +135,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                         retries=defaults.retries,
                         retry_backoff=defaults.retry_backoff,
                         partial=args.partial or defaults.partial,
-                        backend=args.backend,
                         artifacts=not args.no_artifacts)
 
 
@@ -642,12 +637,15 @@ def _cache_main(argv: List[str]) -> int:
     parser.add_argument("--runs", action="store_true",
                         help="with 'clear': also delete recorded run "
                              "metadata")
-    parser.add_argument("--max-bytes", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--max-bytes",
+                        type=_positive_int("max-bytes", zero=True),
+                        default=None, metavar="N",
                         help="with 'gc': evict oldest entries until "
-                             "the store holds at most N bytes")
-    parser.add_argument("--tmp-max-age", type=float, default=3600.0,
-                        metavar="SEC",
+                             "the store holds at most N bytes (0 "
+                             "evicts everything)")
+    parser.add_argument("--tmp-max-age",
+                        type=_positive_float("tmp-max-age", zero=True),
+                        default=3600.0, metavar="SEC",
                         help="with 'gc': only sweep *.tmp files older "
                              "than SEC seconds (default 3600)")
     parser.add_argument("--keep-quarantine", action="store_true",
@@ -661,14 +659,9 @@ def _cache_main(argv: List[str]) -> int:
 
     cache = CacheDir(args.cache_dir)
     if args.action == "stats":
-        from repro import kernels
-
         stats = cache.stats()
         total = stats.pop("total")
         print("cache root: %s" % cache.root)
-        print("active backend: %s (%s)" %
-              (kernels.default_backend_name(),
-               kernels.backend_fingerprint()))
         for stage in sorted(stats):
             bucket = stats[stage]
             print("  %-10s %6d entries  %10.1f KiB" %
@@ -753,8 +746,8 @@ def _obs_main(argv: List[str]) -> int:
                              "earlier runs in the same log")
     parser.add_argument("--any-fingerprint", action="store_true",
                         help="regress: compare across config "
-                             "fingerprints (backend/experiments/"
-                             "scale) instead of requiring a match")
+                             "fingerprints (experiments/scale) "
+                             "instead of requiring a match")
     parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                         help="serve: bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0, metavar="PORT",

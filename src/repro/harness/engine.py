@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import kernels, obs
+from repro import obs
 from repro.analysis import DeadnessAnalysis, analyze_deadness
 from repro.analysis.statics import StaticTable
 from repro.emulator import Trace, run_program
@@ -116,9 +116,6 @@ class EngineConfig:
     #: report cells that fail even after retries in run metadata and
     #: continue with the surviving cells, instead of aborting the sweep
     partial: bool = False
-    #: kernel backend name ("" = env/default resolution, see
-    #: :mod:`repro.kernels`); salted into analysis/paths/timing keys
-    backend: str = ""
     #: enable the mmap-backed columnar artifact plane (second cache
     #: tier, :mod:`repro.harness.artifacts`); requires ``cache`` and a
     #: little-endian host, silently off otherwise
@@ -147,15 +144,6 @@ def _env_float(name: str, default: str, positive: bool = False) -> float:
     return value
 
 
-def _env_backend() -> str:
-    name = os.environ.get("REPRO_BACKEND", "")
-    if name and name not in kernels.available_backends():
-        raise ValueError(
-            "REPRO_BACKEND must be one of %s; got %r"
-            % (", ".join(kernels.available_backends()), name))
-    return name
-
-
 def cache_dir_from_env() -> str:
     """The cache root (``REPRO_CACHE_DIR``), read without validating the
     other engine variables: ``runs``, ``cache`` and ``obs`` need
@@ -167,11 +155,10 @@ def config_from_env() -> EngineConfig:
     """Engine defaults, overridable through environment variables
     (``REPRO_JOBS``, ``REPRO_CACHE=0``, ``REPRO_CACHE_DIR``,
     ``REPRO_CELL_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
-    ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``) so
-    embeddings like pytest pick them up without plumbing flags.
-    Malformed numeric values, a cell timeout that is not positive and
-    unknown backend names raise ``ValueError`` naming the offending
-    variable."""
+    ``REPRO_PARTIAL=1``, ``REPRO_ARTIFACTS=0``) so embeddings like
+    pytest pick them up without plumbing flags.  Malformed numeric
+    values and a cell timeout that is not positive raise ``ValueError``
+    naming the offending variable."""
     return EngineConfig(
         jobs=_env_int("REPRO_JOBS", "1"),
         cache=os.environ.get("REPRO_CACHE", "1") != "0",
@@ -181,7 +168,6 @@ def config_from_env() -> EngineConfig:
         retries=_env_int("REPRO_RETRIES", "1"),
         retry_backoff=_env_float("REPRO_RETRY_BACKOFF", "0.05"),
         partial=os.environ.get("REPRO_PARTIAL", "0") == "1",
-        backend=_env_backend(),
         artifacts=os.environ.get("REPRO_ARTIFACTS", "1") != "0",
     )
 
@@ -365,11 +351,6 @@ def _compute_cell_payload(spec: CellSpec,
     if "worker.crash" in injected:
         raise faults.WorkerCrash(
             "injected worker crash in cell %s" % spec.describe())
-    if config.backend:
-        # Pool workers may be spawned (not forked): pin the kernel
-        # backend from the config so workers and parent always agree
-        # with the backend salt in the keys below.
-        kernels.set_default_backend(config.backend)
     if cache is None and config.cache:
         cache = CacheDir(config.cache_dir)
     if plane is _PLANE_AUTO:
@@ -441,7 +422,7 @@ def _compute_cell_payload(spec: CellSpec,
                              "output": output})
         if plane is not None:
             # Backfill the plane so the next attach (this process or
-            # any sibling worker) is zero-copy.
+            # any sibling worker) reads the map instead of unpickling.
             trace_handle = artifacts.store_trace_bundle(
                 plane, t_key, program, pcs, taken, addrs, output)
     stages["trace"] = {"hit": hit,
@@ -449,11 +430,7 @@ def _compute_cell_payload(spec: CellSpec,
     n = trace_bundle.n if trace_bundle is not None else len(pcs)
 
     # -- analysis -----------------------------------------------------
-    # The backend fingerprint keeps entries produced under different
-    # kernel backends apart (contents are byte-identical by contract,
-    # but a backend bug must never masquerade as a cache hit).
     analysis_key = stable_hash("analysis", trace_key,
-                               kernels.backend_fingerprint(),
                                stage_salt("analysis"))
     started = time.perf_counter()
     a_key = (artifacts.artifact_key("analysis", analysis_key)
@@ -481,8 +458,8 @@ def _compute_cell_payload(spec: CellSpec,
         else:
             if pcs is None:
                 # Trace came from the plane: hydrate its columns once
-                # for the analysis pass (and let the kernels pull the
-                # precomputed derived columns straight off the map).
+                # for the analysis pass (the static-index column is
+                # read straight off the map).
                 pcs = trace_bundle.ints("pcs")
                 taken = trace_bundle.bools("taken")
                 addrs = trace_bundle.ints("addrs")
@@ -694,8 +671,7 @@ def _simulate_key(trace_key: str, machine_config: MachineConfig,
                   analysis: Optional[DeadnessAnalysis]) -> str:
     fingerprint = _analysis_fingerprint(analysis) if analysis else "-"
     parts = ["timing", trace_key, machine_config.to_key(),
-             fingerprint, kernels.backend_fingerprint(),
-             stage_salt("timing")]
+             fingerprint, stage_salt("timing")]
     # Observed simulations carry their timeline inside the cached
     # result; keep them apart from plain entries (and from other
     # sampling configurations).
@@ -769,8 +745,6 @@ class Engine:
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config if config is not None else config_from_env()
-        if self.config.backend:
-            kernels.set_default_backend(self.config.backend)
         self.cache: Optional[CacheDir] = (
             CacheDir(self.config.cache_dir) if self.config.cache
             else None)
@@ -1117,7 +1091,6 @@ class Engine:
             return compute_paths(run.trace, statics,
                                  path_bits=path_bits)
         key = stable_hash("paths", trace_key, str(path_bits),
-                          kernels.backend_fingerprint(),
                           stage_salt("paths"))
         started = time.perf_counter()
         cached = self.cache.load("paths", key)
@@ -1161,8 +1134,6 @@ class Engine:
             "cell_timeout": self.config.cell_timeout,
             "retries": self.config.retries,
             "partial": self.config.partial,
-            "backend": kernels.default_backend_name(),
-            "backend_fingerprint": kernels.backend_fingerprint(),
             "artifacts": self.plane is not None,
         }
 
@@ -1204,8 +1175,7 @@ def get_engine() -> Engine:
 
 
 def peek_engine() -> Optional[Engine]:
-    """The process-wide engine if one exists, without creating one
-    (creation pins the configured kernel backend process-wide)."""
+    """The process-wide engine if one exists, without creating one."""
     return _ENGINE
 
 

@@ -98,8 +98,7 @@ class SweepExecutor:
         if trace_key is None or cache is None:
             return self._walk(run, predictor, path_bits)
         key = stable_hash("predict", trace_key, predictor.key(),
-                          str(path_bits), kernels.backend_fingerprint(),
-                          stage_salt("predict"))
+                          str(path_bits), stage_salt("predict"))
         started = time.perf_counter()
         stats = MISS if obs.enabled() else cache.load("predict", key)
         hit = isinstance(stats, DeadPredictionStats)

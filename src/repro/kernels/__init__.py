@@ -3,21 +3,11 @@
 The hot loops of every analysis consumer — backward deadness, kill
 distance, per-static locality counters, the per-PC prediction event
 stream — live here as *kernels* over the trace's structure-of-arrays
-columns, behind a backend registry:
-
-* ``python``  — the reference backend (:mod:`repro.kernels.ref`), the
-  byte-exact port of the original per-consumer loops;
-* ``columnar`` — NumPy array operations
-  (:mod:`repro.kernels.columnar`); registered only when the optional
-  NumPy dependency is importable (``HAVE_NUMPY``), byte-identical by
-  contract and enforced by the property suite.
-
-Select a backend with ``REPRO_BACKEND=<name>``, the engine's
-``--backend`` flag / :class:`~repro.harness.engine.EngineConfig`, or
-:func:`set_default_backend`.  The active backend is salted into the
-engine's cache keys (:func:`backend_fingerprint`) so entries never
-collide across backends.  See ``docs/architecture.md`` for the layer
-diagram and the backend contract.
+columns (:mod:`repro.kernels.ref`), returning the canonical result
+columns of :mod:`repro.kernels.base`.  ``fused`` computes deadness,
+kill distances and per-static counters in one backward walk; the
+granular walks recompute the last two from cached labels and must
+agree with it exactly.  See ``docs/architecture.md``.
 
 Module-level helpers bind the kernels to the repo's concrete types:
 :func:`decode` builds the :class:`DecodedTrace` (reusing the trace's
@@ -28,58 +18,47 @@ once and every sweep point replays it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernels.base import (
     DeadnessColumns,
     DecodedTrace,
     FusedColumns,
-    KernelBackend,
     KillColumns,
     PredictionStream,
     StaticCounts,
-    available_backends,
-    backend_fingerprint,
-    default_backend_name,
-    get_backend,
     pass_totals,
-    register_backend,
     reset_pass_totals,
-    set_default_backend,
 )
-from repro.kernels.columnar import HAVE_NUMPY
-from repro.kernels.ref import PythonBackend
-
-register_backend(PythonBackend())
-if HAVE_NUMPY:
-    from repro.kernels.columnar import ColumnarBackend
-
-    register_backend(ColumnarBackend())
+from repro.kernels.ref import (
+    deadness,
+    fused,
+    kill_distances,
+    prediction_stream,
+    static_counts,
+    static_indices,
+)
 
 __all__ = [
     "DeadnessColumns",
     "DecodedTrace",
     "FusedColumns",
-    "HAVE_NUMPY",
-    "KernelBackend",
     "KillColumns",
     "PredictionStream",
     "StaticCounts",
-    "available_backends",
-    "backend_fingerprint",
+    "deadness",
     "decode",
     "default_backend_name",
-    "get_backend",
+    "fused",
+    "kill_distances",
     "pass_totals",
+    "prediction_stream",
     "prediction_stream_for",
-    "register_backend",
     "reset_pass_totals",
-    "set_default_backend",
+    "static_counts",
+    "static_indices",
 ]
 
 
-def decode(trace, statics=None,
-           backend: Optional[KernelBackend] = None) -> DecodedTrace:
+def decode(trace, statics=None) -> DecodedTrace:
     """The decoded micro-op table for *trace*.
 
     Reuses the trace's cached static-index column when available (any
@@ -90,10 +69,7 @@ def decode(trace, statics=None,
         from repro.analysis.statics import StaticTable
         statics = StaticTable(trace.program)
     column = getattr(trace, "static_indices", None)
-    if column is not None:
-        sidx = column()
-    else:
-        sidx = (backend or get_backend()).static_indices(trace)
+    sidx = column() if column is not None else static_indices(trace)
     return DecodedTrace(trace=trace, statics=statics, sidx=sidx)
 
 
@@ -103,6 +79,12 @@ def prediction_stream_for(analysis) -> PredictionStream:
     stream = getattr(analysis, "_prediction_stream", None)
     if stream is None:
         decoded = decode(analysis.trace, analysis.statics)
-        stream = get_backend().prediction_stream(decoded, analysis.dead)
+        stream = prediction_stream(decoded, analysis.dead)
         analysis._prediction_stream = stream
     return stream
+
+
+def default_backend_name() -> str:
+    """Always ``"python"``.  Kept only for benchmarks/e2e/child.py,
+    which records it after every pass; delete it with that read."""
+    return "python"

@@ -1,12 +1,10 @@
-"""The ``python`` reference backend: straight-line ports of the
-original per-consumer loops.
+"""The trace kernels: plain Python loops over a decoded trace.
 
-This backend defines the semantics every other backend must match
-byte-for-byte.  The deadness logic is the exact backward dataflow pass
-documented in :mod:`repro.analysis.liveness` (per-register liveness
-flags, word-granular memory map, conservative end-of-program and
-byte-store handling); the fused kernel runs the same pass and folds in
-the two label-consuming walks that used to re-scan the trace:
+The deadness logic is the exact backward dataflow pass documented in
+:mod:`repro.analysis.liveness` (per-register liveness flags,
+word-granular memory map, conservative end-of-program and byte-store
+handling); the fused kernel runs the same pass and folds in the two
+label-consuming walks that used to re-scan the trace:
 
 * **kill distance** — the forward formulation ("record the pending dead
   write's distance when the next write to its register arrives") is
@@ -20,11 +18,15 @@ the two label-consuming walks that used to re-scan the trace:
   victim-ascending order (see :mod:`repro.kernels.base`).
 * **per-static instance counters** — ``totals``/``deads`` accumulate in
   the same walk and are canonicalized to ascending static index.
+
+The granular walks (:func:`deadness`, :func:`kill_distances`,
+:func:`static_counts`) serve analyses rebuilt from cached labels, and
+the tests check the fused pass against them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.program import TEXT_BASE
 from repro.isa.registers import NUM_REGS
@@ -32,97 +34,141 @@ from repro.kernels.base import (
     DeadnessColumns,
     DecodedTrace,
     FusedColumns,
-    KernelBackend,
     KillColumns,
     PredictionStream,
     StaticCounts,
-    canonical_counts,
-    canonical_kills,
+    timed_pass,
 )
 
+__all__ = [
+    "deadness",
+    "fused",
+    "kill_distances",
+    "prediction_stream",
+    "static_counts",
+    "static_indices",
+]
 
-class PythonBackend(KernelBackend):
-    """Reference implementation (plain Python loops)."""
 
-    name = "python"
+def _walked(decoded: DecodedTrace, _result) -> int:
+    return len(decoded)
 
-    def _static_indices(self, trace) -> List[int]:
-        base = TEXT_BASE
-        if base:
-            return [(pc - base) >> 2 for pc in trace.pcs]
-        return [pc >> 2 for pc in trace.pcs]
 
-    def _fused(self, decoded: DecodedTrace,
-               track_stores: bool) -> FusedColumns:
-        return _backward_pass(decoded, track_stores, fuse=True)
+@timed_pass("decode", lambda _trace, result: len(result))
+def static_indices(trace) -> List[int]:
+    """The decode kernel: the static index of every dynamic pc."""
+    base = TEXT_BASE
+    if base:
+        return [(pc - base) >> 2 for pc in trace.pcs]
+    return [pc >> 2 for pc in trace.pcs]
 
-    def _deadness(self, decoded: DecodedTrace,
-                  track_stores: bool) -> DeadnessColumns:
-        return _backward_pass(decoded, track_stores, fuse=False).deadness
 
-    def _static_counts(self, decoded: DecodedTrace,
-                       dead: Sequence[bool]) -> StaticCounts:
-        totals: Dict[int, int] = {}
-        deads: Dict[int, int] = {}
-        sidx = decoded.sidx
-        for i in range(len(sidx)):
-            si = sidx[i]
-            totals[si] = totals.get(si, 0) + 1
-            if dead[i]:
-                deads[si] = deads.get(si, 0) + 1
-        return canonical_counts(totals, deads)
+@timed_pass("fused", _walked)
+def fused(decoded: DecodedTrace, track_stores: bool = True) -> FusedColumns:
+    """One backward pass: deadness labels, kill distances and
+    per-static instance counters together."""
+    return _backward_pass(decoded, track_stores, fuse=True)
 
-    def _kill_distances(self, decoded: DecodedTrace,
-                        dead: Sequence[bool]) -> KillColumns:
-        sidx = decoded.sidx
-        statics = decoded.statics
-        s_dest = statics.dest
-        provenance = statics.provenance
 
-        # Forward formulation (the original distance.py loop), emitting
-        # (victim, distance, tag) so the result can be canonicalized to
-        # victim order.
-        pending: List[Optional[int]] = [None] * NUM_REGS
-        pairs = []
-        for i in range(len(sidx)):
-            si = sidx[i]
-            dest = s_dest[si]
-            if not dest:
-                continue
-            previous = pending[dest]
-            if previous is not None:
-                pairs.append((previous, i - previous,
-                              provenance[sidx[previous]] or "original"))
-            pending[dest] = i if dead[i] else None
-        unkilled = sum(1 for entry in pending if entry is not None)
-        pairs.sort(key=lambda pair: pair[0])
-        return canonical_kills(pairs, unkilled)
+@timed_pass("deadness", _walked)
+def deadness(decoded: DecodedTrace,
+             track_stores: bool = True) -> DeadnessColumns:
+    """The deadness subset of :func:`fused`."""
+    return _backward_pass(decoded, track_stores, fuse=False).deadness
 
-    def _prediction_stream(self, decoded: DecodedTrace,
-                           dead: Sequence[bool]) -> PredictionStream:
-        trace = decoded.trace
-        sidx = decoded.sidx
-        pcs = trace.pcs
-        taken = trace.taken
-        eligible = decoded.statics.eligible
-        is_cond = decoded.statics.is_cond_branch
 
-        stream = PredictionStream()
-        e_index = stream.eligible_index
-        e_pc = stream.eligible_pc
-        e_dead = stream.eligible_dead
-        b_index = stream.branch_index
-        b_taken = stream.branch_taken
-        for i in range(len(sidx)):
-            si = sidx[i]
-            if eligible[si]:
-                e_index.append(i)
-                e_pc.append(pcs[i])
-                e_dead.append(dead[i])
-            elif is_cond[si]:
-                b_index.append(i)
-                b_taken.append(taken[i])
-        return stream
+@timed_pass("static-counts", _walked)
+def static_counts(decoded: DecodedTrace,
+                  dead: Sequence[bool]) -> StaticCounts:
+    """Per-static instance counters from existing labels."""
+    totals: Dict[int, int] = {}
+    deads: Dict[int, int] = {}
+    sidx = decoded.sidx
+    for i in range(len(sidx)):
+        si = sidx[i]
+        totals[si] = totals.get(si, 0) + 1
+        if dead[i]:
+            deads[si] = deads.get(si, 0) + 1
+    return _canonical_counts(totals, deads)
+
+
+@timed_pass("kill-distance", _walked)
+def kill_distances(decoded: DecodedTrace,
+                   dead: Sequence[bool]) -> KillColumns:
+    """Kill distances of dead register writes from existing labels."""
+    sidx = decoded.sidx
+    statics = decoded.statics
+    s_dest = statics.dest
+    provenance = statics.provenance
+
+    # Forward formulation (the original distance.py loop), emitting
+    # (victim, distance, tag) so the result can be canonicalized to
+    # victim order.
+    pending: List[Optional[int]] = [None] * NUM_REGS
+    pairs = []
+    for i in range(len(sidx)):
+        si = sidx[i]
+        dest = s_dest[si]
+        if not dest:
+            continue
+        previous = pending[dest]
+        if previous is not None:
+            pairs.append((previous, i - previous,
+                          provenance[sidx[previous]] or "original"))
+        pending[dest] = i if dead[i] else None
+    unkilled = sum(1 for entry in pending if entry is not None)
+    pairs.sort(key=lambda pair: pair[0])
+    return _canonical_kills(pairs, unkilled)
+
+
+@timed_pass("prediction-stream", lambda _decoded, result: result.n_events)
+def prediction_stream(decoded: DecodedTrace,
+                      dead: Sequence[bool]) -> PredictionStream:
+    """The per-PC event stream predictor evaluation walks."""
+    trace = decoded.trace
+    sidx = decoded.sidx
+    pcs = trace.pcs
+    taken = trace.taken
+    eligible = decoded.statics.eligible
+    is_cond = decoded.statics.is_cond_branch
+
+    stream = PredictionStream()
+    e_index = stream.eligible_index
+    e_pc = stream.eligible_pc
+    e_dead = stream.eligible_dead
+    b_index = stream.branch_index
+    b_taken = stream.branch_taken
+    for i in range(len(sidx)):
+        si = sidx[i]
+        if eligible[si]:
+            e_index.append(i)
+            e_pc.append(pcs[i])
+            e_dead.append(dead[i])
+        elif is_cond[si]:
+            b_index.append(i)
+            b_taken.append(taken[i])
+    return stream
+
+
+def _canonical_kills(pairs: List[Tuple[int, int, str]],
+                     unkilled: int) -> KillColumns:
+    """Build :class:`KillColumns` from ``(victim, distance, tag)``
+    triples in victim-ascending order (caller guarantees the order)."""
+    distances = [distance for _victim, distance, _tag in pairs]
+    grouped: Dict[str, List[int]] = {}
+    for _victim, distance, tag in pairs:
+        grouped.setdefault(tag, []).append(distance)
+    by_provenance = {tag: grouped[tag] for tag in sorted(grouped)}
+    return KillColumns(distances=distances, unkilled=unkilled,
+                       by_provenance=by_provenance)
+
+
+def _canonical_counts(totals: Dict[int, int],
+                      deads: Dict[int, int]) -> StaticCounts:
+    """Sort counter keys ascending (the canonical form)."""
+    return StaticCounts(
+        totals={si: totals[si] for si in sorted(totals)},
+        deads={si: deads[si] for si in sorted(deads)})
 
 
 def _backward_pass(decoded: DecodedTrace, track_stores: bool,
@@ -275,11 +321,11 @@ def _backward_pass(decoded: DecodedTrace, track_stores: bool,
             reg_live[src] = True
             reg_touched[src] = True
 
-    deadness = DeadnessColumns(
+    columns = DeadnessColumns(
         dead=dead, direct=direct, n_eligible=n_eligible, n_dead=n_dead,
         n_direct=n_direct, n_dead_stores=n_dead_stores)
     kill_pairs.reverse()
     return FusedColumns(
-        deadness=deadness,
-        kills=canonical_kills(kill_pairs, unkilled),
-        counts=canonical_counts(totals, deads))
+        deadness=columns,
+        kills=_canonical_kills(kill_pairs, unkilled),
+        counts=_canonical_counts(totals, deads))

@@ -129,16 +129,15 @@ def render_timelines(obs: Dict[str, object],
 
 
 def render_kernel_passes(spans: List[Dict[str, object]]) -> str:
-    """Aggregate ``kernel:<pass>`` spans into a per-(pass, backend)
-    timing table — where the trace walks actually spend their time."""
-    merged: Dict[tuple, List[float]] = {}
+    """Aggregate ``kernel:<pass>`` spans into a per-pass timing table —
+    where the trace walks actually spend their time."""
+    merged: Dict[str, List[float]] = {}
     for span in spans:
         name = str(span.get("name", ""))
         if not name.startswith("kernel:"):
             continue
         attrs = span.get("attrs") or {}
-        key = (name[len("kernel:"):], str(attrs.get("backend", "?")))
-        bucket = merged.setdefault(key, [0, 0, 0.0])
+        bucket = merged.setdefault(name[len("kernel:"):], [0, 0, 0.0])
         bucket[0] += 1
         bucket[1] += int(attrs.get("items", 0) or 0)
         bucket[2] += float(span.get("seconds", 0.0) or 0.0)
@@ -146,14 +145,13 @@ def render_kernel_passes(spans: List[Dict[str, object]]) -> str:
         return "no kernel passes recorded"
     ranked = sorted(merged.items(), key=lambda item: (-item[1][2],
                                                       item[0]))
-    lines = ["%-18s %-8s %8s %12s %10s %12s" %
-             ("pass", "backend", "calls", "items", "seconds",
-              "items/s")]
-    for (name, backend), (calls, items, seconds) in ranked:
+    lines = ["%-18s %8s %12s %10s %12s" %
+             ("pass", "calls", "items", "seconds", "items/s")]
+    for name, (calls, items, seconds) in ranked:
         rate = ("%12.0f" % (items / seconds)) if seconds > 0 \
             else "%12s" % "-"
-        lines.append("%-18s %-8s %8d %12d %10.3f %s" %
-                     (name, backend, calls, items, seconds, rate))
+        lines.append("%-18s %8d %12d %10.3f %s" %
+                     (name, calls, items, seconds, rate))
     return "\n".join(lines)
 
 
@@ -249,11 +247,6 @@ def render_report(run_doc: Dict[str, object],
         run_doc.get("started_at", "?"),
         ",".join(experiments) or "-",
         totals.get("wall_s", 0.0)))
-    engine = run_doc.get("engine") or {}
-    if engine.get("backend"):
-        lines.append("kernel backend: %s (%s)" % (
-            engine.get("backend", "?"),
-            engine.get("backend_fingerprint", "?")))
     lines.append("")
     lines.append("-- robustness --")
     lines.append(render_robustness(run_doc))

@@ -1,6 +1,8 @@
 """The experiment harness: every experiment runs, and the headline
 reproduction claims hold."""
 
+import os
+
 import pytest
 
 from repro.harness import ALL_EXPERIMENTS, run_experiment, suite_runs
@@ -170,19 +172,32 @@ def test_cache_commands_ignore_engine_env(command, monkeypatch, tmp_path,
     ["obs", "hotspots", "--top", "0"],
     ["F1", "--scale", "0.3", "--no-meta", "--cell-timeout", "-1"],
     ["F1", "--scale", "0.3", "--no-meta", "--cell-timeout", "0"],
+    ["cache", "gc", "--max-bytes", "-1"],
+    ["cache", "gc", "--tmp-max-age", "-1"],
+    ["cache", "gc", "--tmp-max-age", "nan"],
 ], ids=" ".join)
 def test_cli_rejects_non_positive_flags(argv, monkeypatch, tmp_path,
                                         capsys):
     """Counts slice (``records[-0:]`` is every record) and the cell
-    timeout bounds each pool task, so 0 and below are usage errors."""
+    timeout bounds each pool task, so 0 and below are usage errors.
+    ``cache gc`` bounds below 0 would evict every entry and sweep a
+    concurrent writer's fresh ``*.tmp`` file, so they are refused
+    before the cache is touched."""
+    from repro.harness.cachedir import CacheDir
     from repro.harness.cli import main
 
+    cache = CacheDir(str(tmp_path))
+    cache.store("compile", "ab" * 32, "entry")
+    entry = cache.entry_path("compile", "ab" * 32)
+    live_temp = os.path.join(os.path.dirname(entry), "writer.tmp")
+    open(live_temp, "w").close()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     flag = argv[-2].lstrip("-")
-    assert "%s must be a positive" % flag in capsys.readouterr().err
+    assert "%s must be a" % flag in capsys.readouterr().err
+    assert os.path.exists(entry) and os.path.exists(live_temp)
 
 
 class TestTables:

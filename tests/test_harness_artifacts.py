@@ -1,9 +1,8 @@
-"""The zero-copy columnar artifact plane (``harness/artifacts.py``):
+"""The mmap-backed columnar artifact plane (``harness/artifacts.py``):
 bundle format integrity, the plane's robustness contract
 (quarantine-on-corruption, best-effort stores, orphaned-tmp sweeping),
 and — the property the whole tier rests on — byte-identical round
-trips of every persisted column against fresh in-memory derivation,
-for every registered kernel backend, with and without NumPy."""
+trips of every persisted column against fresh in-memory derivation."""
 
 from __future__ import annotations
 
@@ -39,17 +38,6 @@ from repro.harness.artifacts import (
 from repro.harness.cachedir import CacheDir
 from repro.harness.engine import _fused_to_doc
 from repro.workloads import get_workload
-
-needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="NumPy not installed")
-
-BACKENDS = ["python", pytest.param("columnar", marks=needs_numpy)]
-
-#: the columns every trace bundle carries, whatever the backend
-RAW_TRACE_COLUMNS = ("pcs", "taken", "addrs", "sidx", "out")
-#: the derived key-index columns only the columnar backend reads
-COLUMNAR_TRACE_COLUMNS = ("word", "read_keys", "write_keys",
-                          "write_pos", "write_reg")
 
 KEY = "ab" + "0" * 62  # well-formed plane key (hex-shaped, sharded)
 KEY2 = "cd" + "1" * 62
@@ -94,18 +82,6 @@ class TestFormat:
             _count, start = bundle._locate(
                 name, bundle._columns[name][0])
             assert start % 64 == 0
-
-    @needs_numpy
-    def test_array_views_are_zero_copy(self):
-        import numpy as np
-
-        blob = encode_bundle("demo", 3, _sample_columns())
-        bundle = _parse(blob)
-        view = bundle.array("ints")
-        assert view.dtype == np.dtype("<i8")
-        assert not view.flags.owndata  # a view of the buffer, no copy
-        assert view.tolist() == [0, 1, -5, 1 << 40]
-        assert bundle.array("flags").dtype == np.bool_
 
     def test_bad_magic_raises(self):
         blob = encode_bundle("demo", 1, [])
@@ -293,30 +269,21 @@ def traced():
 class TestRoundTrip:
     """The load-bearing property: every column a bundle persists
     hydrates byte-identically (pickle-equal, element types included)
-    to deriving it fresh from the trace — per registered backend."""
+    to deriving it fresh from the trace."""
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("workload_name", ["sort", "matmul",
                                                "rle"])
-    def test_trace_bundle_round_trip(self, tmp_path, backend_name,
-                                     workload_name):
-        backend = kernels.get_backend(backend_name)
+    def test_trace_bundle_round_trip(self, tmp_path, workload_name):
         machine, trace = get_workload(workload_name).run(scale=0.3)
         statics = StaticTable(trace.program)
 
         reference_sidx = list(trace.static_indices())
-        reference = backend.fused(kernels.decode(trace, statics))
+        reference = kernels.fused(kernels.decode(trace, statics))
 
         plane = ArtifactPlane(str(tmp_path))
-        # Bundles are written for the active backend (their keys carry
-        # its fingerprint), so store under the backend being tested.
-        kernels.set_default_backend(backend_name)
-        try:
-            handle = store_trace_bundle(plane, KEY, trace.program,
-                                        trace.pcs, trace.taken,
-                                        trace.addrs, machine.output)
-        finally:
-            kernels.set_default_backend(None)
+        handle = store_trace_bundle(plane, KEY, trace.program,
+                                    trace.pcs, trace.taken,
+                                    trace.addrs, machine.output)
         assert handle is not None
         bundle = plane.attach(KEY)
         assert bundle is not None and is_trace_bundle(bundle)
@@ -332,28 +299,8 @@ class TestRoundTrip:
         assert hydrated.addrs == trace.addrs
         assert hydrated.static_indices() == reference_sidx
 
-        roundtrip = backend.fused(kernels.decode(hydrated, statics))
+        roundtrip = kernels.fused(kernels.decode(hydrated, statics))
         assert pickle.dumps(roundtrip) == pickle.dumps(reference)
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_trace_bundle_columns_follow_backend(self, tmp_path, traced,
-                                                 backend_name):
-        """Only the columnar backend's bundles carry its key-index
-        columns; under ``python`` the bundle holds the raw columns and
-        ``sidx`` alone."""
-        trace, output = traced
-        plane = ArtifactPlane(str(tmp_path))
-        kernels.set_default_backend(backend_name)
-        try:
-            store_trace_bundle(plane, KEY, trace.program, trace.pcs,
-                               trace.taken, trace.addrs, output)
-        finally:
-            kernels.set_default_backend(None)
-        bundle = plane.attach(KEY)
-        assert all(bundle.has(name) for name in RAW_TRACE_COLUMNS)
-        expected = backend_name == "columnar"
-        assert [bundle.has(name) for name in COLUMNAR_TRACE_COLUMNS] \
-            == [expected] * len(COLUMNAR_TRACE_COLUMNS)
 
     def test_analysis_bundle_round_trip(self, tmp_path, traced):
         trace, _output = traced
@@ -384,61 +331,6 @@ class TestRoundTrip:
         rebuilt = fused_doc_from_bundle(bundle)
         assert pickle.dumps(rebuilt) == pickle.dumps(fused_doc)
 
-    def test_no_numpy_subprocess_round_trip(self, tmp_path):
-        """The plane works (just not zero-copy) without NumPy: a
-        subprocess whose ``numpy`` import fails stores a bundle,
-        re-attaches it, and gets byte-identical hydration through the
-        ``python`` backend."""
-        (tmp_path / "numpy.py").write_text(
-            "raise ImportError('stubbed out for the plane test')\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), src))
-        env.pop("REPRO_BACKEND", None)
-        # A round trip, not fault tolerance: an injected plane-write
-        # fault would make the store return None.
-        env.pop("REPRO_FAULTS", None)
-        script = (
-            "import pickle, tempfile\n"
-            "from repro import kernels\n"
-            "assert not kernels.HAVE_NUMPY\n"
-            "from repro.analysis.statics import StaticTable\n"
-            "from repro.emulator.trace import Trace\n"
-            "from repro.harness.artifacts import (ArtifactPlane,\n"
-            "    is_trace_bundle, store_trace_bundle, unpack_output)\n"
-            "from repro.workloads import get_workload\n"
-            "machine, trace = get_workload('sort').run(scale=0.2)\n"
-            "statics = StaticTable(trace.program)\n"
-            "plane = ArtifactPlane(tempfile.mkdtemp())\n"
-            "key = 'ab' + '0' * 62\n"
-            "handle = store_trace_bundle(plane, key, trace.program,\n"
-            "    trace.pcs, trace.taken, trace.addrs, machine.output)\n"
-            "assert handle is not None\n"
-            "bundle = plane.attach(key)\n"
-            "assert bundle is not None and is_trace_bundle(bundle)\n"
-            "assert unpack_output(bundle) == machine.output\n"
-            "hydrated = Trace(trace.program)\n"
-            "hydrated.pcs = bundle.ints('pcs')\n"
-            "hydrated.taken = bundle.bools('taken')\n"
-            "hydrated.addrs = bundle.ints('addrs')\n"
-            "hydrated.artifact_bundle = bundle\n"
-            "assert hydrated.pcs == trace.pcs\n"
-            "assert hydrated.taken == trace.taken\n"
-            "assert hydrated.static_indices() == "
-            "trace.static_indices()\n"
-            "for name in kernels.available_backends():\n"
-            "    backend = kernels.get_backend(name)\n"
-            "    ref = backend.fused(kernels.decode(trace, statics))\n"
-            "    got = backend.fused(kernels.decode(hydrated, statics))\n"
-            "    assert pickle.dumps(got) == pickle.dumps(ref), name\n"
-            "print('no-numpy-plane-ok')\n")
-        result = subprocess.run([sys.executable, "-c", script],
-                                capture_output=True, text=True,
-                                env=env)
-        assert result.returncode == 0, result.stderr
-        assert "no-numpy-plane-ok" in result.stdout
-
 
 class TestEnginePlane:
     def test_hot_cells_attach_instead_of_unpickling(self, tmp_path):
@@ -461,6 +353,38 @@ class TestEnginePlane:
         assert second.trace.pcs == first.trace.pcs
         assert pickle.dumps(second.analysis.fused) == \
             pickle.dumps(first.analysis.fused)
+
+    def test_harness_never_imports_numpy(self, tmp_path):
+        """The kernels and the plane need only the standard library: a
+        fresh interpreter that imports the CLI and runs one cell cold,
+        then hot through the plane's bundles, has no ``numpy`` in
+        ``sys.modules``."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = src
+        script = (
+            "import sys\n"
+            "import repro.harness.cli\n"
+            "from repro.harness.engine import CellSpec, Engine, "
+            "EngineConfig\n"
+            "from repro.lang import CompilerOptions\n"
+            "spec = CellSpec(workload='sort', scale=0.1,\n"
+            "                options=CompilerOptions())\n"
+            "config = EngineConfig(cache_dir=sys.argv[1])\n"
+            "Engine(config).run_cells([spec])\n"
+            "hot = Engine(config)\n"
+            "cell = hot.run_cells([spec])[0]\n"
+            "assert hot.plane.counters['attach_hits'] >= 2\n"
+            "assert cell.trace.artifact_bundle is not None\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'numpy'))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_vanished_bundle_falls_back(self, tmp_path):
         # A handle that no longer attaches (plane wiped between the

@@ -382,13 +382,6 @@ class TestConfigFromEnv:
         with pytest.raises(ValueError, match="REPRO_RETRIES"):
             config_from_env()
 
-    def test_unknown_backend_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "nope")
-        with pytest.raises(ValueError,
-                           match="REPRO_BACKEND must be one of .*python;"
-                                 " got 'nope'"):
-            config_from_env()
-
 
 # ---------------------------------------------------------------------
 # Engine supervision

@@ -244,14 +244,12 @@ class TestWorkerParity:
 
 
 def _record(run_id="r1", wall=1.0, pass_seconds=0.01, items=1000,
-            experiments=("F7",), backend="python"):
+            experiments=("F7",)):
     run_doc = {
         "run_id": run_id,
         "started_at": "2026-08-08T00:00:00",
         "argv": list(experiments),
-        "engine": {"backend": backend,
-                   "backend_fingerprint": "kernel-backend:%s" % backend,
-                   "jobs": 1},
+        "engine": {"jobs": 1},
         "experiments": [{"id": name} for name in experiments],
         "totals": {"wall_s": wall, "instructions": 123,
                    "stages": {"trace": {"hits": 1, "misses": 2,
@@ -294,8 +292,6 @@ class TestHistory:
             obs_history.fingerprint(_record("other"))
         assert obs_history.fingerprint(_record()) != \
             obs_history.fingerprint(_record(experiments=("F8",)))
-        assert obs_history.fingerprint(_record()) != \
-            obs_history.fingerprint(_record(backend="columnar"))
 
     def test_regress_flags_slowed_pass_and_wall(self):
         baseline = [_record("b%d" % i) for i in range(3)]
@@ -332,14 +328,11 @@ class TestHistory:
         registry = telemetry.registry
         for worker in ("0", "1"):
             registry.counter("repro_kernel_pass_total", "calls",
-                             kernel="decode", backend="python",
-                             worker=worker).inc(2)
+                             kernel="decode", worker=worker).inc(2)
             registry.counter("repro_kernel_pass_items_total", "items",
-                             kernel="decode", backend="python",
-                             worker=worker).inc(500)
+                             kernel="decode", worker=worker).inc(500)
             registry.histogram("repro_kernel_pass_seconds", "s",
-                               kernel="decode", backend="python",
-                               worker=worker).observe(0.25)
+                               kernel="decode", worker=worker).observe(0.25)
         table = obs_history.kernel_pass_table(telemetry)
         assert table["decode"]["calls"] == 4
         assert table["decode"]["items"] == 1000

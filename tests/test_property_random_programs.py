@@ -10,11 +10,10 @@ rendered to Mini-C source and interpreted directly in Python with
 2. replaying the -O2 trace with every analysis-dead instruction
    skipped reproduces the output (deadness-analysis soundness on
    arbitrary programs, not just the curated suite);
-3. every registered kernel backend's outputs — decode column, fused
-   deadness/kill-distance/locality columns, prediction stream — are
-   byte-identical (pickle-equal, so element types included) to the
-   ``python`` reference on arbitrary programs (``columnar`` whenever
-   NumPy is importable).
+3. the fused backward pass's deadness, kill-distance and per-static
+   counter columns are pickle-equal (so element types included) to
+   the granular kernels' on arbitrary programs, with and without
+   store tracking.
 """
 
 import pickle
@@ -99,48 +98,21 @@ def test_random_programs_deadness_is_sound(stmts):
         source
 
 
-def _kernel_doc(backend, trace, statics, dead):
-    """Every kernel output of one backend, as one picklable value."""
-    decoded = kernels.DecodedTrace(trace, statics,
-                                   backend.static_indices(trace))
-    fused = backend.fused(decoded)
-    loose = backend.fused(decoded, track_stores=False)
-    stream = backend.prediction_stream(decoded, dead)
-    kills = backend.kill_distances(decoded, dead)
-    counts = backend.static_counts(decoded, dead)
-    return (
-        list(decoded.sidx),
-        fused.deadness.dead, fused.deadness.direct,
-        (fused.deadness.n_eligible, fused.deadness.n_dead,
-         fused.deadness.n_direct, fused.deadness.n_dead_stores),
-        fused.kills.distances, fused.kills.unkilled,
-        fused.kills.by_provenance,
-        fused.counts.totals, fused.counts.deads,
-        loose.deadness.dead, loose.deadness.n_dead,
-        kills.distances, kills.unkilled, kills.by_provenance,
-        counts.totals, counts.deads,
-        stream.eligible_index, stream.eligible_pc,
-        stream.eligible_dead, stream.branch_index, stream.branch_taken,
-    )
-
-
 @settings(max_examples=25, deadline=None)
 @given(programs)
-def test_random_programs_backends_byte_identical(stmts):
+def test_random_programs_fused_matches_granular(stmts):
     source = _render_program(stmts)
     program = compile_to_program(source, CompilerOptions(opt_level=2))
     _machine, trace = run_program(program, max_steps=2_000_000)
-    analysis = analyze_deadness(trace)
-    reference = _kernel_doc(kernels.get_backend("python"), trace,
-                            analysis.statics, analysis.dead)
-    # pickle equality covers element types too (bool vs int labels),
-    # which is the backend contract's definition of byte-identical;
-    # every registered backend (``columnar`` included when NumPy is
-    # importable) is held to it.
-    for name in kernels.available_backends():
-        if name == "python":
-            continue
-        candidate = _kernel_doc(kernels.get_backend(name), trace,
-                                analysis.statics, analysis.dead)
-        assert pickle.dumps(reference) == pickle.dumps(candidate), \
-            (name, source)
+    decoded = kernels.decode(trace)
+    for track_stores in (True, False):
+        fused = kernels.fused(decoded, track_stores=track_stores)
+        deadness = kernels.deadness(decoded, track_stores=track_stores)
+        granular = kernels.FusedColumns(
+            deadness=deadness,
+            kills=kernels.kill_distances(decoded, deadness.dead),
+            counts=kernels.static_counts(decoded, deadness.dead))
+        # pickle equality covers element types too (bool vs int
+        # labels) and the canonical order of every column.
+        assert pickle.dumps(fused) == pickle.dumps(granular), \
+            (track_stores, source)
