@@ -63,10 +63,15 @@ def scrape(base_url: str) -> str:
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-obs-scrape-") as cache:
+        return check(cache)
+
+
+def check(cache: str) -> int:
+    """Run the scraped sweep with its cache and history under *cache*."""
     sys.path.insert(0, os.path.join(REPO, "src"))
     from repro.obs.registry import lint_exposition
 
-    cache = tempfile.mkdtemp(prefix="repro-obs-scrape-")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     command = [sys.executable, "-m", "repro.harness.cli",
@@ -105,6 +110,7 @@ def main() -> int:
         problems = lint_exposition(body)
         if problems:
             process.kill()
+            process.wait()  # before the cache directory is removed
             fail("mid-run exposition lint: %s" % "; ".join(problems))
         if re.search(r'repro_kernel_pass_\w+\{[^}]*worker="', body):
             saw_worker_pass = True

@@ -66,7 +66,12 @@ def scrub(value):
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="runtable-check-")
+    with tempfile.TemporaryDirectory(prefix="runtable-check-") as workdir:
+        check(workdir)
+
+
+def check(workdir: str) -> None:
+    """Run every leg with its cache and exports under *workdir*."""
     cache = os.path.join(workdir, "cache")
     cold_json = os.path.join(workdir, "cold.json")
     hot_json = os.path.join(workdir, "hot.json")

@@ -31,18 +31,30 @@ Directives: ``.text``, ``.data``, ``.word``, ``.space``, ``.globl``
 
 A provenance tag on a pseudo-instruction is applied to every
 instruction of its expansion.
+
+Every value must fit the field that holds it (:mod:`repro.isa.encoding`):
+a sign-extended immediate or memory offset 16 bits signed, a
+zero-extended one (``andi``/``ori``/``xori``/``lui``) 16 bits unsigned,
+a branch offset 16 bits signed, a jump target a word-aligned address
+below 2**28, and a ``li``/``la``/``.word`` value 32 bits, signed or
+unsigned.
+Anything else is an :class:`AssemblyError`, never a silent truncation.
+
+Pass 1 splits each line once into a statement and sizes it; pass 2
+looks up each mnemonic's handler in one table (:data:`_HANDLERS`) and
+emits its instructions.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.isa.encoding import IMM16_MAX, IMM16_MIN, IMM26_MAX
 from repro.isa.instructions import (
     Format,
     Instruction,
     JAL_LINK_REGISTER,
-    MNEMONIC_TO_OPCODE,
     Opcode,
     OPCODE_INFO,
 )
@@ -51,7 +63,8 @@ from repro.isa.registers import REG_NUMBERS
 
 _MEM_OPERAND = re.compile(r"^(-?\w+)\((\w+)\)$")
 _LABEL_DEF = re.compile(r"^([A-Za-z_.$][\w.$]*):")
-_IMM16_MIN, _IMM16_MAX = -(1 << 15), (1 << 15) - 1
+#: values ``li``, ``la`` and ``.word`` take: 32 bits, signed or unsigned
+_WORD_MIN, _WORD_MAX = -(1 << 31), (1 << 32) - 1
 
 
 class AssemblyError(ValueError):
@@ -64,33 +77,8 @@ class AssemblyError(ValueError):
         self.line = line
 
 
-class _Statement:
-    """One parsed source statement (instruction or data directive)."""
-
-    __slots__ = ("mnemonic", "operands", "provenance", "line", "size")
-
-    def __init__(self, mnemonic: str, operands: List[str],
-                 provenance: Optional[str], line: int):
-        self.mnemonic = mnemonic
-        self.operands = operands
-        self.provenance = provenance
-        self.line = line
-        self.size = 0  # bytes, filled during pass 1
-
-
-def _strip(line: str) -> str:
-    """Remove comments and surrounding whitespace."""
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
-
-
-def _split_operands(text: str) -> List[str]:
-    text = text.strip()
-    if not text:
-        return []
-    return [part.strip() for part in text.split(",")]
+#: one source instruction: (mnemonic, operands, provenance, line)
+_Statement = Tuple[str, List[str], Optional[str], int]
 
 
 def _parse_int(token: str) -> Optional[int]:
@@ -98,6 +86,12 @@ def _parse_int(token: str) -> Optional[int]:
         return int(token, 0)
     except ValueError:
         return None
+
+
+def _check_word(value: int, what: str, line: int) -> None:
+    if not _WORD_MIN <= value <= _WORD_MAX:
+        raise AssemblyError(
+            "%s out of 32-bit range: %d" % (what, value), line)
 
 
 def _pseudo_size(mnemonic: str, operands: List[str], line: int) -> int:
@@ -110,7 +104,8 @@ def _pseudo_size(mnemonic: str, operands: List[str], line: int) -> int:
         value = _parse_int(operands[1])
         if value is None:
             raise AssemblyError("li needs a literal immediate", line)
-        return 1 if _IMM16_MIN <= value <= _IMM16_MAX else 2
+        _check_word(value, "li value", line)
+        return 1 if IMM16_MIN <= value <= IMM16_MAX else 2
     return 1
 
 
@@ -120,8 +115,15 @@ class _Assembler:
         self.name = name
         self.symbols: Dict[str, int] = {}
         self.text: List[_Statement] = []
+        #: (address, values, line) of each .word, resolved in pass 2
+        self.words: List[Tuple[int, List[str], int]] = []
         self.data_words: Dict[int, int] = {}
         self.instructions: List[Instruction] = []
+        # Pass 2: the next instruction's address, and the provenance and
+        # line of the statement being expanded.
+        self.pc = TEXT_BASE
+        self.provenance: Optional[str] = None
+        self.line = -1
 
     # ----- pass 1: collect statements, size them, define symbols -----
 
@@ -130,8 +132,9 @@ class _Assembler:
         text_addr = TEXT_BASE
         data_addr = DATA_BASE
         for line_number, raw in enumerate(self.source.splitlines(), 1):
-            line = _strip(raw)
-            while True:
+            hash_pos = raw.find("#")  # a comment runs to the line's end
+            line = (raw[:hash_pos] if hash_pos >= 0 else raw).strip()
+            while ":" in line:
                 match = _LABEL_DEF.match(line)
                 if not match:
                     break
@@ -156,12 +159,22 @@ class _Assembler:
                     raise AssemblyError(
                         "@provenance without an instruction", line_number)
 
+            # The line is stripped, so the text after the mnemonic is
+            # too: split(None, 1) drops the whitespace between them.
             parts = line.split(None, 1)
             mnemonic = parts[0].lower()
-            operands = _split_operands(parts[1]) if len(parts) > 1 else []
-            stmt = _Statement(mnemonic, operands, provenance, line_number)
+            operands = (list(map(str.strip, parts[1].split(",")))
+                        if len(parts) > 1 else [])
 
-            if mnemonic == ".text":
+            if not mnemonic.startswith("."):
+                if section != "text":
+                    raise AssemblyError(
+                        "instruction outside .text", line_number)
+                self.text.append((mnemonic, operands, provenance,
+                                  line_number))
+                text_addr += 4 * _pseudo_size(mnemonic, operands,
+                                              line_number)
+            elif mnemonic == ".text":
                 section = "text"
             elif mnemonic == ".data":
                 section = "data"
@@ -170,10 +183,8 @@ class _Assembler:
             elif mnemonic == ".word":
                 if section != "data":
                     raise AssemblyError(".word outside .data", line_number)
-                stmt.size = 4 * max(len(operands), 1)
-                stmt.mnemonic = ".word"
-                self._emit_data_placeholder(stmt, data_addr)
-                data_addr += stmt.size
+                self.words.append((data_addr, operands, line_number))
+                data_addr += 4 * max(len(operands), 1)
             elif mnemonic == ".space":
                 if section != "data":
                     raise AssemblyError(".space outside .data", line_number)
@@ -183,47 +194,40 @@ class _Assembler:
                 if size is None or size < 0:
                     raise AssemblyError("bad .space size", line_number)
                 data_addr += (size + 3) & ~3
-            elif mnemonic.startswith("."):
+            else:
                 raise AssemblyError(
                     "unknown directive %r" % mnemonic, line_number)
-            else:
-                if section != "text":
-                    raise AssemblyError(
-                        "instruction outside .text", line_number)
-                stmt.size = 4 * _pseudo_size(mnemonic, operands, line_number)
-                self.text.append(stmt)
-                text_addr += stmt.size
-
-    def _emit_data_placeholder(self, stmt: _Statement, address: int) -> None:
-        # Remember where this .word's values go; resolved in pass 2.
-        stmt.operands = [str(address)] + stmt.operands
-        self._deferred_words.append(stmt)
-
-    _deferred_words: List[_Statement]
 
     # ----- pass 2: resolve symbols and emit instructions/data -----
 
     def pass2(self) -> None:
-        pc = TEXT_BASE
-        for stmt in self.text:
-            emitted = self._expand(stmt, pc)
-            for instr in emitted:
-                instr.pc = pc
-                instr.provenance = stmt.provenance
-                instr.source_line = stmt.line
-                self.instructions.append(instr)
-                pc += 4
-        for stmt in self._deferred_words:
-            address = int(stmt.operands[0])
-            values = stmt.operands[1:]
+        self.pc = TEXT_BASE
+        for mnemonic, operands, provenance, line in self.text:
+            form = _HANDLERS.get(mnemonic)
+            if form is None:
+                raise AssemblyError("unknown mnemonic %r" % mnemonic, line)
+            handler, opcode = form
+            self.provenance = provenance
+            self.line = line
+            handler(self, opcode, operands, line)
+        for address, values, line in self.words:
             for offset, token in enumerate(values):
-                value = self._value(token, stmt.line)
+                value = self._value(token, line)
+                _check_word(value, ".word value", line)
                 self.data_words[address + 4 * offset] = value & 0xFFFFFFFF
 
+    def _emit(self, opcode: Opcode, rd: int = 0, rs1: int = 0,
+              rs2: int = 0, imm: int = 0) -> None:
+        self.instructions.append(Instruction(
+            opcode, rd, rs1, rs2, imm, self.pc, self.provenance, self.line))
+        self.pc += 4
+
     def _reg(self, token: str, line: int) -> int:
-        number = REG_NUMBERS.get(token.lower())
+        number = REG_NUMBERS.get(token)
         if number is None:
-            raise AssemblyError("unknown register %r" % token, line)
+            number = REG_NUMBERS.get(token.lower())
+            if number is None:
+                raise AssemblyError("unknown register %r" % token, line)
         return number
 
     def _value(self, token: str, line: int) -> int:
@@ -234,145 +238,35 @@ class _Assembler:
             return self.symbols[token]
         raise AssemblyError("undefined symbol %r" % token, line)
 
-    def _branch_offset(self, token: str, pc: int, line: int) -> int:
+    def _imm(self, token: str, zero_extended: bool, line: int) -> int:
+        """An immediate operand, checked against its 16-bit field."""
+        value = self._value(token, line)
+        if zero_extended:
+            if not 0 <= value <= 0xFFFF:
+                raise AssemblyError(
+                    "immediate out of unsigned 16-bit range: %d" % value,
+                    line)
+        elif not IMM16_MIN <= value <= IMM16_MAX:
+            raise AssemblyError(
+                "immediate out of 16-bit range: %d" % value, line)
+        return value
+
+    def _branch_offset(self, token: str, line: int) -> int:
         target = self._value(token, line)
-        offset = target - (pc + 4)
-        if not _IMM16_MIN <= offset <= _IMM16_MAX:
+        offset = target - (self.pc + 4)
+        if not IMM16_MIN <= offset <= IMM16_MAX:
             raise AssemblyError("branch target out of range", line)
         return offset
 
-    def _expand(self, stmt: _Statement, pc: int) -> List[Instruction]:
-        m, ops, line = stmt.mnemonic, stmt.operands, stmt.line
-
-        # --- pseudo-instructions ---
-        if m in ("move", "mv"):
-            self._arity(ops, 2, line)
-            return [Instruction(Opcode.ADD, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line), rs2=0)]
-        if m == "li":
-            rd = self._reg(ops[0], line)
-            value = _parse_int(ops[1])
-            assert value is not None  # checked in pass 1
-            return self._load_value(rd, value)
-        if m == "la":
-            self._arity(ops, 2, line)
-            rd = self._reg(ops[0], line)
-            address = self._value(ops[1], line)
-            hi, lo = (address >> 16) & 0xFFFF, address & 0xFFFF
-            return [Instruction(Opcode.LUI, rd=rd, imm=hi),
-                    Instruction(Opcode.ORI, rd=rd, rs1=rd, imm=lo)]
-        if m == "not":
-            self._arity(ops, 2, line)
-            return [Instruction(Opcode.NOR, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line), rs2=0)]
-        if m == "neg":
-            self._arity(ops, 2, line)
-            return [Instruction(Opcode.SUB, rd=self._reg(ops[0], line),
-                                rs1=0, rs2=self._reg(ops[1], line))]
-        if m in ("beqz", "bnez"):
-            self._arity(ops, 2, line)
-            opcode = Opcode.BEQ if m == "beqz" else Opcode.BNE
-            return [Instruction(opcode, rs1=self._reg(ops[0], line), rs2=0,
-                                imm=self._branch_offset(ops[1], pc, line))]
-        if m in ("bgt", "ble"):
-            self._arity(ops, 3, line)
-            opcode = Opcode.BLT if m == "bgt" else Opcode.BGE
-            return [Instruction(opcode, rs1=self._reg(ops[1], line),
-                                rs2=self._reg(ops[0], line),
-                                imm=self._branch_offset(ops[2], pc, line))]
-        if m in ("sll", "srl", "sra"):
-            self._arity(ops, 3, line)
-            rd = self._reg(ops[0], line)
-            rs1 = self._reg(ops[1], line)
-            shamt = _parse_int(ops[2])
-            if shamt is not None:
-                opcode = {"sll": Opcode.SLLI, "srl": Opcode.SRLI,
-                          "sra": Opcode.SRAI}[m]
-                return [Instruction(opcode, rd=rd, rs1=rs1, imm=shamt)]
-            opcode = {"sll": Opcode.SLLV, "srl": Opcode.SRLV,
-                      "sra": Opcode.SRAV}[m]
-            return [Instruction(opcode, rd=rd, rs1=rs1,
-                                rs2=self._reg(ops[2], line))]
-        if m == "call":
-            self._arity(ops, 1, line)
-            return [self._jump(Opcode.JAL, ops[0], line)]
-        if m == "ret":
-            self._arity(ops, 0, line)
-            return [Instruction(Opcode.JALR, rd=0, rs1=1)]
-
-        # --- real instructions ---
-        opcode = MNEMONIC_TO_OPCODE.get(m)
-        if opcode is None:
-            raise AssemblyError("unknown mnemonic %r" % m, line)
-        info = OPCODE_INFO[opcode]
-
-        if opcode in (Opcode.NOP, Opcode.HALT, Opcode.SYSCALL):
-            self._arity(ops, 0, line)
-            return [Instruction(opcode)]
-        if opcode == Opcode.J or opcode == Opcode.JAL:
-            self._arity(ops, 1, line)
-            return [self._jump(opcode, ops[0], line)]
-        if opcode == Opcode.JALR:
-            if len(ops) not in (1, 2):
-                raise AssemblyError("jalr needs 1 or 2 operands", line)
-            if len(ops) == 1:
-                return [Instruction(opcode, rd=0,
-                                    rs1=self._reg(ops[0], line))]
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line))]
-        if opcode == Opcode.LUI:
-            self._arity(ops, 2, line)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                imm=self._value(ops[1], line))]
-        if info.is_load or info.is_store:
-            self._arity(ops, 2, line)
-            match = _MEM_OPERAND.match(ops[1].replace(" ", ""))
-            if not match:
-                raise AssemblyError(
-                    "expected imm(reg) operand, got %r" % ops[1], line)
-            offset = self._value(match.group(1), line)
-            base = self._reg(match.group(2), line)
-            if info.is_load:
-                return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                    rs1=base, imm=offset)]
-            return [Instruction(opcode, rs2=self._reg(ops[0], line),
-                                rs1=base, imm=offset)]
-        if info.is_branch:
-            self._arity(ops, 3, line)
-            return [Instruction(opcode, rs1=self._reg(ops[0], line),
-                                rs2=self._reg(ops[1], line),
-                                imm=self._branch_offset(ops[2], pc, line))]
-        if info.format == Format.R:
-            self._arity(ops, 3, line)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line),
-                                rs2=self._reg(ops[2], line))]
-        # Remaining: I-format ALU.
-        self._arity(ops, 3, line)
-        return [Instruction(opcode, rd=self._reg(ops[0], line),
-                            rs1=self._reg(ops[1], line),
-                            imm=self._value(ops[2], line))]
-
-    def _jump(self, opcode: Opcode, token: str, line: int) -> Instruction:
+    def _jump(self, opcode: Opcode, token: str, line: int) -> None:
         target = self._value(token, line)
         if target & 3:
             raise AssemblyError("jump target not word aligned", line)
+        if not 0 <= target >> 2 <= IMM26_MAX:
+            raise AssemblyError(
+                "jump target out of 26-bit range: %d" % target, line)
         rd = JAL_LINK_REGISTER if opcode == Opcode.JAL else 0
-        return Instruction(opcode, rd=rd, imm=target >> 2)
-
-    @staticmethod
-    def _load_value(rd: int, value: int) -> List[Instruction]:
-        if _IMM16_MIN <= value <= _IMM16_MAX:
-            return [Instruction(Opcode.ADDI, rd=rd, rs1=0, imm=value)]
-        unsigned = value & 0xFFFFFFFF
-        hi, lo = (unsigned >> 16) & 0xFFFF, unsigned & 0xFFFF
-        result = [Instruction(Opcode.LUI, rd=rd, imm=hi)]
-        if lo:
-            result.append(Instruction(Opcode.ORI, rd=rd, rs1=rd, imm=lo))
-        else:
-            # Keep the two-instruction size promised by pass 1.
-            result.append(Instruction(Opcode.ORI, rd=rd, rs1=rd, imm=0))
-        return result
+        self._emit(opcode, rd=rd, imm=target >> 2)
 
     @staticmethod
     def _arity(operands: List[str], expected: int, line: int) -> None:
@@ -381,6 +275,184 @@ class _Assembler:
                 "expected %d operands, got %d" % (expected, len(operands)),
                 line)
 
+    # ----- real instructions, by operand form -----
+
+    def _form_none(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 0, line)
+        self._emit(opcode)
+
+    def _form_r(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 3, line)
+        self._emit(opcode, rd=self._reg(ops[0], line),
+                   rs1=self._reg(ops[1], line), rs2=self._reg(ops[2], line))
+
+    def _form_i(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 3, line)
+        self._emit(opcode, rd=self._reg(ops[0], line),
+                   rs1=self._reg(ops[1], line),
+                   imm=self._imm(ops[2], OPCODE_INFO[opcode].zero_ext_imm,
+                                 line))
+
+    def _form_lui(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 2, line)
+        self._emit(opcode, rd=self._reg(ops[0], line),
+                   imm=self._imm(ops[1], True, line))
+
+    def _memory(self, ops: List[str], line: int) -> Tuple[int, int]:
+        """``(offset, base)`` of a memory instruction's operands."""
+        self._arity(ops, 2, line)
+        match = _MEM_OPERAND.match(ops[1].replace(" ", ""))
+        if not match:
+            raise AssemblyError(
+                "expected imm(reg) operand, got %r" % ops[1], line)
+        return (self._imm(match.group(1), False, line),
+                self._reg(match.group(2), line))
+
+    def _form_load(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        offset, base = self._memory(ops, line)
+        self._emit(opcode, rd=self._reg(ops[0], line), rs1=base, imm=offset)
+
+    def _form_store(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        offset, base = self._memory(ops, line)
+        self._emit(opcode, rs2=self._reg(ops[0], line), rs1=base,
+                   imm=offset)
+
+    def _form_branch(self, opcode: Opcode, ops: List[str],
+                     line: int) -> None:
+        self._arity(ops, 3, line)
+        self._emit(opcode, rs1=self._reg(ops[0], line),
+                   rs2=self._reg(ops[1], line),
+                   imm=self._branch_offset(ops[2], line))
+
+    def _form_jump(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 1, line)
+        self._jump(opcode, ops[0], line)
+
+    def _form_jalr(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        if len(ops) not in (1, 2):
+            raise AssemblyError("jalr needs 1 or 2 operands", line)
+        if len(ops) == 1:
+            self._emit(opcode, rd=0, rs1=self._reg(ops[0], line))
+        else:
+            self._emit(opcode, rd=self._reg(ops[0], line),
+                       rs1=self._reg(ops[1], line))
+
+    # ----- pseudo-instructions (the opcode is the one they expand to) --
+
+    def _pseudo_move(self, opcode: Opcode, ops: List[str],
+                     line: int) -> None:
+        # move rd, rs -> add rd, rs, zero; not rd, rs -> nor rd, rs, zero
+        self._arity(ops, 2, line)
+        self._emit(opcode, rd=self._reg(ops[0], line),
+                   rs1=self._reg(ops[1], line), rs2=0)
+
+    def _pseudo_neg(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 2, line)
+        self._emit(opcode, rd=self._reg(ops[0], line), rs1=0,
+                   rs2=self._reg(ops[1], line))
+
+    def _pseudo_li(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        rd = self._reg(ops[0], line)
+        value = int(ops[1], 0)  # a literal in range: checked in pass 1
+        if IMM16_MIN <= value <= IMM16_MAX:
+            self._emit(Opcode.ADDI, rd=rd, rs1=0, imm=value)
+            return
+        # Always two instructions, the size pass 1 promised.
+        unsigned = value & 0xFFFFFFFF
+        self._emit(Opcode.LUI, rd=rd, imm=(unsigned >> 16) & 0xFFFF)
+        self._emit(Opcode.ORI, rd=rd, rs1=rd, imm=unsigned & 0xFFFF)
+
+    def _pseudo_la(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 2, line)
+        rd = self._reg(ops[0], line)
+        address = self._value(ops[1], line)
+        _check_word(address, "la address", line)
+        self._emit(Opcode.LUI, rd=rd, imm=(address >> 16) & 0xFFFF)
+        self._emit(Opcode.ORI, rd=rd, rs1=rd, imm=address & 0xFFFF)
+
+    def _pseudo_branch_zero(self, opcode: Opcode, ops: List[str],
+                            line: int) -> None:
+        self._arity(ops, 2, line)
+        self._emit(opcode, rs1=self._reg(ops[0], line), rs2=0,
+                   imm=self._branch_offset(ops[1], line))
+
+    def _pseudo_branch_swapped(self, opcode: Opcode, ops: List[str],
+                               line: int) -> None:
+        self._arity(ops, 3, line)
+        self._emit(opcode, rs1=self._reg(ops[1], line),
+                   rs2=self._reg(ops[0], line),
+                   imm=self._branch_offset(ops[2], line))
+
+    def _pseudo_shift(self, opcode: Opcode, ops: List[str],
+                      line: int) -> None:
+        # opcode is the register form; the immediate form follows the
+        # same order (sll/srl/sra -> sllv/srlv/srav or slli/srli/srai).
+        self._arity(ops, 3, line)
+        rd = self._reg(ops[0], line)
+        rs1 = self._reg(ops[1], line)
+        if _parse_int(ops[2]) is not None:
+            immediate_form = _SHIFT_IMMEDIATE[opcode]
+            self._emit(immediate_form, rd=rd, rs1=rs1,
+                       imm=self._imm(ops[2], False, line))
+            return
+        self._emit(opcode, rd=rd, rs1=rs1, rs2=self._reg(ops[2], line))
+
+    def _pseudo_ret(self, opcode: Opcode, ops: List[str], line: int) -> None:
+        self._arity(ops, 0, line)
+        self._emit(opcode, rd=0, rs1=1)
+
+
+_SHIFT_IMMEDIATE = {Opcode.SLLV: Opcode.SLLI, Opcode.SRLV: Opcode.SRLI,
+                    Opcode.SRAV: Opcode.SRAI}
+
+_Handler = Callable[[_Assembler, Opcode, List[str], int], None]
+
+
+def _real_form(opcode: Opcode) -> _Handler:
+    info = OPCODE_INFO[opcode]
+    if opcode in (Opcode.NOP, Opcode.HALT, Opcode.SYSCALL):
+        return _Assembler._form_none
+    if opcode in (Opcode.J, Opcode.JAL):
+        return _Assembler._form_jump
+    if opcode == Opcode.JALR:
+        return _Assembler._form_jalr
+    if opcode == Opcode.LUI:
+        return _Assembler._form_lui
+    if info.is_load:
+        return _Assembler._form_load
+    if info.is_store:
+        return _Assembler._form_store
+    if info.is_branch:
+        return _Assembler._form_branch
+    if info.format == Format.R:
+        return _Assembler._form_r
+    return _Assembler._form_i
+
+
+#: mnemonic -> (handler, opcode): every real instruction, then the
+#: pseudo-instructions with the opcode each expands to
+_HANDLERS: Dict[str, Tuple[_Handler, Opcode]] = {
+    OPCODE_INFO[opcode].mnemonic: (_real_form(opcode), opcode)
+    for opcode in Opcode
+}
+_HANDLERS.update({
+    "move": (_Assembler._pseudo_move, Opcode.ADD),
+    "mv": (_Assembler._pseudo_move, Opcode.ADD),
+    "not": (_Assembler._pseudo_move, Opcode.NOR),
+    "neg": (_Assembler._pseudo_neg, Opcode.SUB),
+    "li": (_Assembler._pseudo_li, Opcode.ADDI),
+    "la": (_Assembler._pseudo_la, Opcode.LUI),
+    "beqz": (_Assembler._pseudo_branch_zero, Opcode.BEQ),
+    "bnez": (_Assembler._pseudo_branch_zero, Opcode.BNE),
+    "bgt": (_Assembler._pseudo_branch_swapped, Opcode.BLT),
+    "ble": (_Assembler._pseudo_branch_swapped, Opcode.BGE),
+    "sll": (_Assembler._pseudo_shift, Opcode.SLLV),
+    "srl": (_Assembler._pseudo_shift, Opcode.SRLV),
+    "sra": (_Assembler._pseudo_shift, Opcode.SRAV),
+    "call": (_Assembler._form_jump, Opcode.JAL),
+    "ret": (_Assembler._pseudo_ret, Opcode.JALR),
+})
+
 
 def assemble(source: str, name: str = "") -> Program:
     """Assemble *source* text into a :class:`~repro.isa.program.Program`.
@@ -388,7 +460,6 @@ def assemble(source: str, name: str = "") -> Program:
     Raises :class:`AssemblyError` with a line number on malformed input.
     """
     assembler = _Assembler(source, name)
-    assembler._deferred_words = []
     assembler.pass1()
     assembler.pass2()
     entry = assembler.symbols.get("_start", TEXT_BASE)

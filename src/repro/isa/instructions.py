@@ -160,10 +160,6 @@ OPCODE_INFO: Tuple[OpcodeInfo, ...] = (
 
 assert len(OPCODE_INFO) == len(Opcode)
 
-MNEMONIC_TO_OPCODE = {
-    info.mnemonic: Opcode(number) for number, info in enumerate(OPCODE_INFO)
-}
-
 
 @dataclass
 class Instruction:

@@ -30,6 +30,20 @@ from repro.lang.errors import CompileError
 from repro.lang.regalloc import Allocation, allocate_registers
 
 _IMM_MIN, _IMM_MAX = -32768, 32767
+#: values ``li`` and ``.word`` take: 32 bits, signed or unsigned
+_WORD_MIN, _WORD_MAX = -(1 << 31), (1 << 32) - 1
+
+
+def _word(value: int) -> int:
+    """*value* as a 32-bit ``li``/``.word`` operand.
+
+    Folded constants and literals can exceed 32 bits; the machine keeps
+    the low 32 bits of a wrapping result, and so does this.  Values in
+    range are returned unchanged, so their text stays what it was.
+    """
+    if _WORD_MIN <= value <= _WORD_MAX:
+        return value
+    return value & 0xFFFFFFFF
 
 #: branch op -> (mnemonic, swap operands?)
 _BRANCH_OPS = {
@@ -109,6 +123,9 @@ class _FunctionCodegen:
             self.ra_offset = offset
             offset += 4
         self.frame_size = (offset + 7) & ~7
+        if self.frame_size > _IMM_MAX:
+            raise CompileError("stack frame of %r exceeds sp addressing "
+                               "range (32 KB)" % self.function.name)
 
     # ----- emission helpers -----
 
@@ -120,8 +137,27 @@ class _FunctionCodegen:
     def emit_label(self, label: str) -> None:
         self.lines.append("%s:" % label)
 
+    def emit_li(self, register: str, value: int) -> None:
+        self.emit("li %s, %d" % (register, _word(value)))
+
     def spill_offset(self, slot: int) -> int:
         return self.spill_base + 4 * slot
+
+    def gp_offset(self, name: str) -> int:
+        offset = self.layout.offsets[name]
+        if offset > _IMM_MAX:
+            raise CompileError("data segment exceeds gp addressing "
+                               "range (32 KB)")
+        return offset
+
+    def memory_operand(self, offset: int, base: str) -> str:
+        """The operand ``offset(base)``; an offset beyond 16 bits is
+        added to *base* in ``at`` first."""
+        if _IMM_MIN <= offset <= _IMM_MAX:
+            return "%d(%s)" % (offset, base)
+        self.emit_li("at", offset)
+        self.emit("add at, %s, at" % base)
+        return "0(at)"
 
     def read(self, operand: ir.Operand, scratch: str) -> str:
         """Return a register holding *operand*, loading into *scratch*
@@ -129,9 +165,9 @@ class _FunctionCodegen:
         if isinstance(operand, int):
             if operand == 0:
                 return "zero"
-            self.emit("li %s, %d" % (scratch, operand))
+            self.emit_li(scratch, operand)
             return scratch
-        location = self.allocation.location(operand)
+        location = self.allocation.locations[operand]
         if location.is_spilled:
             self.emit("lw %s, %d(sp)" % (scratch,
                                          self.spill_offset(
@@ -142,7 +178,7 @@ class _FunctionCodegen:
     def dest(self, vreg: ir.VReg) -> Tuple[str, Optional[int]]:
         """Register to compute a def into, plus a spill offset to store
         it to afterwards (None when the vreg lives in a register)."""
-        location = self.allocation.location(vreg)
+        location = self.allocation.locations[vreg]
         if location.is_spilled:
             return "k0", self.spill_offset(location.spill_slot)
         return location.register, None
@@ -195,69 +231,67 @@ class _FunctionCodegen:
     # ----- instructions -----
 
     def instr(self, instr: ir.IRInstr) -> None:
-        if isinstance(instr, ir.Const):
-            register, spill = self.dest(instr.dst)
-            self.emit("li %s, %d" % (register, instr.value))
-            self.write_back(spill)
-        elif isinstance(instr, ir.Move):
-            register, spill = self.dest(instr.dst)
-            if isinstance(instr.src, int):
-                self.emit("li %s, %d" % (register, instr.src))
-            else:
-                source = self.read(instr.src, "k1")
-                if source != register:
-                    self.emit("move %s, %s" % (register, source))
-                elif spill is not None:
-                    pass  # value already in k0? cannot happen: src != dst
-            self.write_back(spill)
-        elif isinstance(instr, ir.BinOp):
-            self._binop(instr)
-        elif isinstance(instr, ir.UnOp):
-            self._unop(instr)
-        elif isinstance(instr, ir.GlobalAddr):
-            register, spill = self.dest(instr.dst)
-            offset = self.layout.offsets[instr.name]
-            if offset > _IMM_MAX:
-                raise CompileError("data segment exceeds gp addressing "
-                                   "range (32 KB)")
-            self.emit("addi %s, gp, %d" % (register, offset))
-            self.write_back(spill)
-        elif isinstance(instr, ir.FrameAddr):
-            register, spill = self.dest(instr.dst)
-            self.emit("addi %s, sp, %d" %
-                      (register, self.array_offsets[instr.slot]))
-            self.write_back(spill)
-        elif isinstance(instr, ir.Load):
-            base = self.read(instr.base, "k1")
-            register, spill = self.dest(instr.dst)
-            self.emit("lw %s, %d(%s)" % (register, instr.offset, base))
-            self.write_back(spill)
-        elif isinstance(instr, ir.Store):
-            value = self.read(instr.src, "k0")
-            base = self.read(instr.base, "k1")
-            self.emit("sw %s, %d(%s)" % (value, instr.offset, base))
-        elif isinstance(instr, ir.LoadGlobal):
-            register, spill = self.dest(instr.dst)
-            self.emit("lw %s, %d(gp)" %
-                      (register, self.layout.offsets[instr.name]))
-            self.write_back(spill)
-        elif isinstance(instr, ir.StoreGlobal):
-            value = self.read(instr.src, "k0")
-            self.emit("sw %s, %d(gp)" %
-                      (value, self.layout.offsets[instr.name]))
-        elif isinstance(instr, ir.Param):
-            register, spill = self.dest(instr.dst)
-            self.emit("move %s, a%d" % (register, instr.index))
-            self.write_back(spill)
-        elif isinstance(instr, ir.Call):
-            self._call(instr)
-        elif isinstance(instr, ir.Print):
-            value = self.read(instr.value, "k0")
-            self.emit("move a0, %s" % value)
-            self.emit("li v0, 1")
-            self.emit("syscall")
-        else:  # pragma: no cover
+        handler = _INSTR_HANDLERS.get(type(instr))
+        if handler is None:  # pragma: no cover
             raise CompileError("unhandled IR instruction %r" % instr)
+        handler(self, instr)
+
+    def _const(self, instr: ir.Const) -> None:
+        register, spill = self.dest(instr.dst)
+        self.emit_li(register, instr.value)
+        self.write_back(spill)
+
+    def _move(self, instr: ir.Move) -> None:
+        register, spill = self.dest(instr.dst)
+        if isinstance(instr.src, int):
+            self.emit_li(register, instr.src)
+        else:
+            source = self.read(instr.src, "k1")
+            if source != register:
+                self.emit("move %s, %s" % (register, source))
+        self.write_back(spill)
+
+    def _global_addr(self, instr: ir.GlobalAddr) -> None:
+        register, spill = self.dest(instr.dst)
+        self.emit("addi %s, gp, %d" % (register, self.gp_offset(instr.name)))
+        self.write_back(spill)
+
+    def _frame_addr(self, instr: ir.FrameAddr) -> None:
+        register, spill = self.dest(instr.dst)
+        self.emit("addi %s, sp, %d" %
+                  (register, self.array_offsets[instr.slot]))
+        self.write_back(spill)
+
+    def _load(self, instr: ir.Load) -> None:
+        base = self.read(instr.base, "k1")
+        register, spill = self.dest(instr.dst)
+        self.emit("lw %s, %s" % (register, self.memory_operand(instr.offset, base)))
+        self.write_back(spill)
+
+    def _store(self, instr: ir.Store) -> None:
+        value = self.read(instr.src, "k0")
+        base = self.read(instr.base, "k1")
+        self.emit("sw %s, %s" % (value, self.memory_operand(instr.offset, base)))
+
+    def _load_global(self, instr: ir.LoadGlobal) -> None:
+        register, spill = self.dest(instr.dst)
+        self.emit("lw %s, %d(gp)" % (register, self.gp_offset(instr.name)))
+        self.write_back(spill)
+
+    def _store_global(self, instr: ir.StoreGlobal) -> None:
+        value = self.read(instr.src, "k0")
+        self.emit("sw %s, %d(gp)" % (value, self.gp_offset(instr.name)))
+
+    def _param(self, instr: ir.Param) -> None:
+        register, spill = self.dest(instr.dst)
+        self.emit("move %s, a%d" % (register, instr.index))
+        self.write_back(spill)
+
+    def _print(self, instr: ir.Print) -> None:
+        value = self.read(instr.value, "k0")
+        self.emit("move a0, %s" % value)
+        self.emit("li v0, 1")
+        self.emit("syscall")
 
     def _binop(self, instr: ir.BinOp) -> None:
         op = instr.op
@@ -350,7 +384,7 @@ class _FunctionCodegen:
         if isinstance(terminator, ir.Ret):
             if terminator.value is not None:
                 if isinstance(terminator.value, int):
-                    self.emit("li v0, %d" % terminator.value)
+                    self.emit_li("v0", terminator.value)
                 else:
                     value = self.read(terminator.value, "k0")
                     self.emit("move v0, %s" % value)
@@ -386,6 +420,23 @@ _INVERTED = {
     "bge": "blt",
 }
 
+#: IR instruction class -> the method generating its code
+_INSTR_HANDLERS = {
+    ir.Const: _FunctionCodegen._const,
+    ir.Move: _FunctionCodegen._move,
+    ir.BinOp: _FunctionCodegen._binop,
+    ir.UnOp: _FunctionCodegen._unop,
+    ir.GlobalAddr: _FunctionCodegen._global_addr,
+    ir.FrameAddr: _FunctionCodegen._frame_addr,
+    ir.Load: _FunctionCodegen._load,
+    ir.Store: _FunctionCodegen._store,
+    ir.LoadGlobal: _FunctionCodegen._load_global,
+    ir.StoreGlobal: _FunctionCodegen._store_global,
+    ir.Param: _FunctionCodegen._param,
+    ir.Call: _FunctionCodegen._call,
+    ir.Print: _FunctionCodegen._print,
+}
+
 
 def generate_module(module: ir.IRModule) -> str:
     """Generate complete assembly text for *module*.
@@ -410,7 +461,7 @@ def generate_module(module: ir.IRModule) -> str:
         if init:
             values = list(init) + [0] * (size - len(init))
             lines.append("%s: .word %s" %
-                         (name, ", ".join(str(v) for v in values)))
+                         (name, ", ".join(str(_word(v)) for v in values)))
         else:
             lines.append("%s: .space %d" % (name, 4 * size))
     lines.append("")

@@ -15,12 +15,13 @@ can attribute dynamically dead instances to their compiler origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 
-@dataclass(frozen=True)
-class VReg:
-    """A virtual register."""
+class VReg(NamedTuple):
+    """A virtual register: a one-field tuple, so that hashing and
+    equality, which liveness and allocation do for every operand, run
+    in C."""
 
     id: int
 

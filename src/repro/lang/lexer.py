@@ -1,10 +1,16 @@
-"""Tokenizer for Mini-C."""
+"""Tokenizer for Mini-C.
+
+One compiled pattern finds each token.  Blanks before a token are part
+of its match; newlines, comments and the end of the input are matches
+of their own, so the line count advances only where a newline was
+consumed.  Every character class is ASCII: ``str.isdigit`` and ``\\w``
+would admit Unicode digits and letters, which the assembler rejects.
+"""
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from repro.lang.errors import CompileError
 
@@ -19,13 +25,27 @@ OPERATORS = (
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
 
-#: identifiers are ``[A-Za-z_][A-Za-z0-9_]*``
-IDENT_START = frozenset(string.ascii_letters + "_")
-IDENT_CHARS = IDENT_START | frozenset(string.digits)
+#: one token, optionally preceded by blanks.  Alternatives are tried in
+#: order: comments before the ``/`` operator, the line comment before
+#: the block comment (``//*``) and ``hex`` before ``num`` (``0x1F``).
+#: ``open`` is a ``/*`` with no ``*/`` after it; ``end`` matches the
+#: empty input left after trailing blanks; ``bad`` is any other
+#: character.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<comment>//[^\n]*|/\*.*?\*/)
+  | (?P<open>/\*)
+  | (?P<op>%s)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<hex>0[xX][0-9a-fA-F]*)
+  | (?P<num>[0-9]+)
+  | (?P<newline>\n[ \t\r\n]*)
+  | (?P<end>\Z)
+  | (?P<bad>.)
+)""" % "|".join(re.escape(operator) for operator in OPERATORS),
+    re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is ``"num"``, ``"ident"``, a keyword, or the operator text
@@ -40,64 +60,29 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source*; raises :class:`CompileError` on bad input."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    position = 0
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the Python-level __new__
     line = 1
-    length = len(source)
-    while position < length:
-        char = source[position]
-        if char == "\n":
-            line += 1
-            position += 1
-            continue
-        if char in " \t\r":
-            position += 1
-            continue
-        if source.startswith("//", position):
-            end = source.find("\n", position)
-            position = length if end < 0 else end
-            continue
-        if source.startswith("/*", position):
-            end = source.find("*/", position + 2)
-            if end < 0:
-                raise CompileError("unterminated comment", line)
-            line += source.count("\n", position, end)
-            position = end + 2
-            continue
-        if "0" <= char <= "9":  # ASCII only: isdigit() admits Unicode
-            start = position
-            if source.startswith("0x", position) or \
-                    source.startswith("0X", position):
-                position += 2
-                while position < length and \
-                        source[position] in "0123456789abcdefABCDEF":
-                    position += 1
-                if position == start + 2:
-                    raise CompileError("malformed hex literal", line)
-                yield Token("num", int(source[start:position], 16), line)
-                continue
-            while position < length and "0" <= source[position] <= "9":
-                position += 1
-            yield Token("num", int(source[start:position]), line)
-            continue
-        if char in IDENT_START:  # ASCII only: isalpha() admits Unicode
-            start = position
-            while position < length and source[position] in IDENT_CHARS:
-                position += 1
-            name = source[start:position]
-            if name in KEYWORDS:
-                yield Token(name, name, line)
-            else:
-                yield Token("ident", name, line)
-            continue
-        for operator in OPERATORS:
-            if source.startswith(operator, position):
-                yield Token(operator, operator, line)
-                position += len(operator)
-                break
-        else:
-            raise CompileError("unexpected character %r" % char, line)
-    yield Token("eof", None, line)
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        text = match[group]
+        if group == "op":
+            append(new(Token, (text, text, line)))
+        elif group == "word":
+            append(new(Token, (text if text in KEYWORDS else "ident",
+                               text, line)))
+        elif group == "num":
+            append(new(Token, ("num", int(text), line)))
+        elif group == "newline" or group == "comment":
+            line += text.count("\n")
+        elif group == "hex":
+            if len(text) == 2:
+                raise CompileError("malformed hex literal", line)
+            append(new(Token, ("num", int(text, 16), line)))
+        elif group == "open":
+            raise CompileError("unterminated comment", line)
+        elif group == "bad":
+            raise CompileError("unexpected character %r" % text, line)
+    append(new(Token, ("eof", None, line)))
+    return tokens

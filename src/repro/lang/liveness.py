@@ -30,15 +30,15 @@ def block_use_def(block: Block) -> Tuple[Set[VReg], Set[VReg]]:
     """Upward-exposed uses and defs of one block (terminator included)."""
     uses: Set[VReg] = set()
     defs: Set[VReg] = set()
-    instrs = list(block.instrs)
-    if block.terminator is not None:
-        instrs.append(block.terminator)
-    for instr in instrs:
+    for instr in block.instrs:
         for vreg in instr.uses():
             if vreg not in defs:
                 uses.add(vreg)
-        for vreg in instr.defs():
-            defs.add(vreg)
+        defs.update(instr.defs())
+    if block.terminator is not None:  # a terminator defines nothing
+        for vreg in block.terminator.uses():
+            if vreg not in defs:
+                uses.add(vreg)
     return uses, defs
 
 
@@ -77,14 +77,14 @@ def compute_liveness(function: IRFunction) -> LivenessInfo:
     live_out: Dict[str, Set[VReg]] = {b.label: set()
                                       for b in function.blocks}
     # Iterate blocks in reverse layout order for fast convergence.
-    order = list(reversed(function.blocks))
+    order = [(block.label, block.successors())
+             for block in reversed(function.blocks)]
     changed = True
     while changed:
         changed = False
-        for block in order:
-            label = block.label
+        for label, successors in order:
             out: Set[VReg] = set()
-            for successor in block.successors():
+            for successor in successors:
                 out |= live_in[successor]
             new_in = use[label] | (out - define[label])
             if out != live_out[label] or new_in != live_in[label]:

@@ -27,33 +27,53 @@ Grammar (precedence from loosest to tightest)::
     primary   := NUM | IDENT | IDENT '(' args ')' | IDENT '[' expr ']'
                | '(' expr ')'
 
+Expressions are parsed by precedence climbing over
+:data:`BINARY_LEVELS`, which gives the tree the ten-level grammar above
+describes with one recursion per operand instead of one per level.
+
 ``for (init; cond; step) body`` desugars to ``init; while (cond)
 { body; step; }`` — with the caveat that ``continue`` inside a desugared
 ``for`` re-runs the step (handled during desugaring by appending the
 step into a wrapper the lowering understands; this parser simply
 disallows ``continue`` inside ``for`` to keep semantics honest).
+
+Nesting is bounded by :data:`MAX_NESTING`, counted along any path of the
+tree below a function body: each statement, bracket pair (grouping
+parentheses, a call's argument list, an index), unary operator and
+binary operator is one level, and a ``for`` loop three (the block and
+``while`` loop it desugars to, then its body).  The parser and the
+lowering recurse at most a few frames per level, so a deeper program
+raises :class:`CompileError` at the line where it crossed the limit
+instead of exhausting the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.lang import ast_nodes as ast
 from repro.lang.errors import CompileError
 from repro.lang.lexer import Token, tokenize
 
-_BINARY_LEVELS = (
-    ("||",),
-    ("&&",),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("==", "!="),
-    ("<", "<=", ">", ">="),
-    ("<<", ">>"),
-    ("+", "-"),
-    ("*", "/", "%"),
-)
+#: binary operator -> precedence level, loosest (0) to tightest; every
+#: binary operator is left-associative
+BINARY_LEVELS = {
+    "||": 0,
+    "&&": 1,
+    "|": 2,
+    "^": 3,
+    "&": 4,
+    "==": 5, "!=": 5,
+    "<": 6, "<=": 6, ">": 6, ">=": 6,
+    "<<": 7, ">>": 7,
+    "+": 8, "-": 8,
+    "*": 9, "/": 9, "%": 9,
+}
+
+_UNARY = frozenset(("-", "!", "~"))
+
+#: deepest nesting the parser accepts (see the module docstring)
+MAX_NESTING = 200
 
 
 class _Parser:
@@ -61,6 +81,10 @@ class _Parser:
         self.tokens = tokens
         self.position = 0
         self.in_for = 0
+        #: levels above the construct being parsed, as far as known when
+        #: it starts: a left operand learns of the operators after it
+        #: only when they are parsed (see :meth:`_binary`)
+        self.depth = 0
 
     # ----- token helpers -----
 
@@ -85,6 +109,17 @@ class _Parser:
             raise CompileError(
                 "expected %r, got %r" % (kind, token.kind), token.line)
         return self.advance()
+
+    def _enter(self, token: Token) -> None:
+        """Descend one level below *token*; leave with ``depth -= 1``."""
+        self.depth += 1
+        self._check_depth(0, token)
+
+    def _check_depth(self, height: int, token: Token) -> None:
+        """Reject a tree of *height* levels at the current depth."""
+        if self.depth + height > MAX_NESTING:
+            raise CompileError(
+                "nested more than %d levels deep" % MAX_NESTING, token.line)
 
     # ----- top level -----
 
@@ -164,6 +199,12 @@ class _Parser:
 
     def _statement(self) -> ast.Stmt:
         token = self.current
+        self._enter(token)
+        statement = self._statement_at(token)
+        self.depth -= 1
+        return statement
+
+    def _statement_at(self, token: Token) -> ast.Stmt:
         kind = token.kind
         if kind == "{":
             return self._block()
@@ -226,6 +267,7 @@ class _Parser:
     def _for(self, token: Token) -> ast.Stmt:
         self.advance()
         self.expect("(")
+        self.depth += 2  # the desugared block and while loop
         init = None if self.current.kind == ";" else self._simple()
         self.expect(";")
         condition = (ast.Num(line=token.line, value=1)
@@ -236,6 +278,7 @@ class _Parser:
         self.in_for += 1
         body = self._statement()
         self.in_for -= 1
+        self.depth -= 2
         loop_body = ast.Block(line=token.line, statements=[body])
         if step is not None:
             loop_body.statements.append(step)
@@ -271,56 +314,95 @@ class _Parser:
         return ast.ExprStmt(line=token.line, expr=self._expr())
 
     # ----- expressions -----
+    #
+    # Each method below returns the tree it parsed and the tree's height
+    # in nesting levels.  Depth is checked top-down on every descent
+    # (:meth:`_enter`), which bounds the parser's own recursion, and
+    # bottom-up wherever a height grows, because an operand sinks one
+    # level for every operator that follows it in its chain.
 
     def _expr(self) -> ast.Expr:
-        return self._binary(0)
+        return self._binary(0)[0]
 
-    def _binary(self, level: int) -> ast.Expr:
-        if level == len(_BINARY_LEVELS):
-            return self._unary()
-        operators = _BINARY_LEVELS[level]
-        left = self._binary(level + 1)
-        while self.current.kind in operators:
-            operator = self.advance()
-            right = self._binary(level + 1)
+    def _binary(self, min_level: int) -> Tuple[ast.Expr, int]:
+        """Precedence climbing: an operand, then every binary operator
+        of at least *min_level* with its right operand, which takes
+        only operators that bind tighter."""
+        left, height = self._unary()
+        tokens = self.tokens
+        while True:
+            operator = tokens[self.position]
+            level = BINARY_LEVELS.get(operator.kind, -1)
+            if level < min_level:
+                return left, height
+            self.position += 1
+            self._enter(operator)
+            right, right_height = self._binary(level + 1)
+            self.depth -= 1
+            if right_height > height:
+                height = right_height
+            height += 1
+            self._check_depth(height, operator)
             left = ast.BinOp(line=operator.line, op=operator.kind,
                              left=left, right=right)
-        return left
 
-    def _unary(self) -> ast.Expr:
-        token = self.current
-        if token.kind in ("-", "!", "~"):
-            self.advance()
-            return ast.UnOp(line=token.line, op=token.kind,
-                            operand=self._unary())
+    def _unary(self) -> Tuple[ast.Expr, int]:
+        token = self.tokens[self.position]
+        if token.kind in _UNARY:
+            self.position += 1
+            self._enter(token)
+            operand, height = self._unary()
+            self.depth -= 1
+            return (ast.UnOp(line=token.line, op=token.kind,
+                             operand=operand), height + 1)
         return self._primary()
 
-    def _primary(self) -> ast.Expr:
-        token = self.current
-        if token.kind == "num":
-            self.advance()
-            return ast.Num(line=token.line, value=token.value)
-        if token.kind == "(":
-            self.advance()
-            expr = self._expr()
-            self.expect(")")
-            return expr
-        if token.kind == "ident":
-            name = self.advance().value
-            if self.accept("("):
-                args: List[ast.Expr] = []
-                if not self.accept(")"):
-                    args.append(self._expr())
-                    while self.accept(","):
-                        args.append(self._expr())
-                    self.expect(")")
-                return ast.Call(line=token.line, name=name, args=args)
-            if self.accept("["):
-                index = self._expr()
+    def _primary(self) -> Tuple[ast.Expr, int]:
+        token = self.tokens[self.position]
+        kind = token.kind
+        if kind == "num":
+            self.position += 1
+            return ast.Num(line=token.line, value=token.value), 1
+        if kind == "ident":
+            self.position += 1
+            bracket = self.tokens[self.position]
+            if bracket.kind == "(":
+                return self._call(token, bracket)
+            if bracket.kind == "[":
+                self.position += 1
+                self._enter(bracket)
+                index, height = self._binary(0)
+                self.depth -= 1
                 self.expect("]")
-                return ast.ArrayRef(line=token.line, name=name, index=index)
-            return ast.Var(line=token.line, name=name)
-        raise CompileError("unexpected token %r" % token.kind, token.line)
+                return (ast.ArrayRef(line=token.line, name=token.value,
+                                     index=index), height + 1)
+            return ast.Var(line=token.line, name=token.value), 1
+        if kind == "(":
+            self.position += 1
+            self._enter(token)
+            expr, height = self._binary(0)
+            self.depth -= 1
+            self.expect(")")
+            return expr, height + 1
+        raise CompileError("unexpected token %r" % kind, token.line)
+
+    def _call(self, name: Token, bracket: Token) -> Tuple[ast.Expr, int]:
+        self.position += 1
+        self._enter(bracket)
+        args: List[ast.Expr] = []
+        height = 0
+        if not self.accept(")"):
+            while True:
+                arg, arg_height = self._binary(0)
+                args.append(arg)
+                if arg_height > height:
+                    height = arg_height
+                if not self.accept(","):
+                    break
+            self.expect(")")
+        self.depth -= 1
+        return (ast.Call(line=name.line, name=name.value, args=args),
+                height + 1)
 
 
 def parse(source: str) -> ast.ProgramAST:

@@ -21,8 +21,9 @@ the preferred pool, spill when both pools are exhausted.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lang.ir import Call, IRFunction, VReg
 from repro.lang.liveness import compute_liveness
@@ -68,48 +69,44 @@ def _build_intervals(function: IRFunction) -> Tuple[List[_Interval], bool]:
     """Conservative live intervals over the linearized instruction list."""
     liveness = compute_liveness(function)
 
+    # The walk touches positions in non-decreasing order (a block's
+    # live-in at its first position, then its instructions, then its
+    # live-out at its last), so an interval runs from a vreg's first
+    # touch to its last.
     starts: Dict[VReg, int] = {}
     ends: Dict[VReg, int] = {}
     call_positions: List[int] = []
 
-    def touch(vreg: VReg, position: int) -> None:
-        if vreg not in starts:
-            starts[vreg] = position
-            ends[vreg] = position
-        else:
-            if position < starts[vreg]:
+    def touch(vregs: Iterable[VReg], position: int) -> None:
+        for vreg in vregs:
+            if vreg not in starts:
                 starts[vreg] = position
-            if position > ends[vreg]:
-                ends[vreg] = position
+            ends[vreg] = position
 
     position = 0
     for block in function.blocks:
         block_start = position
-        for vreg in liveness.live_in[block.label]:
-            touch(vreg, block_start)
-        instrs = list(block.instrs)
-        if block.terminator is not None:
-            instrs.append(block.terminator)
-        for instr in instrs:
-            for vreg in instr.uses():
-                touch(vreg, position)
-            for vreg in instr.defs():
-                touch(vreg, position)
+        touch(liveness.live_in[block.label], block_start)
+        for instr in block.instrs:
+            touch(instr.uses(), position)
+            touch(instr.defs(), position)
             if isinstance(instr, Call):
                 call_positions.append(position)
             position += 1
+        if block.terminator is not None:
+            touch(block.terminator.uses(), position)
+            position += 1
         block_end = position - 1 if position > block_start else block_start
-        for vreg in liveness.live_out[block.label]:
-            touch(vreg, block_end)
+        touch(liveness.live_out[block.label], block_end)
 
-    intervals = [
-        _Interval(vreg=vreg, start=starts[vreg], end=ends[vreg])
-        for vreg in starts
-    ]
-    for interval in intervals:
-        interval.crosses_call = any(
-            interval.start < call < interval.end
-            for call in call_positions)
+    intervals = []
+    for vreg, start in starts.items():
+        end = ends[vreg]
+        # Does any call sit strictly inside (start, end)?
+        first_after = bisect_right(call_positions, start)
+        crosses_call = (first_after < len(call_positions)
+                        and call_positions[first_after] < end)
+        intervals.append(_Interval(vreg, start, end, crosses_call))
     intervals.sort(key=lambda interval: (interval.start, interval.vreg.id))
     return intervals, bool(call_positions)
 
@@ -121,27 +118,23 @@ def allocate_registers(function: IRFunction) -> Allocation:
 
     free_caller: List[str] = list(CALLER_SAVED)
     free_callee: List[str] = list(CALLEE_SAVED)
-    active: List[_Interval] = []  # sorted by end
-    register_of: Dict[VReg, str] = {}
+    # Registers of the live intervals, sorted by end (ties in insertion
+    # order), and those ends.
+    active: List[str] = []
+    active_ends: List[int] = []
     used_callee: Set[str] = set()
 
-    def expire(current_start: int) -> None:
-        while active and active[0].end < current_start:
-            expired = active.pop(0)
-            register = register_of[expired.vreg]
-            if register in CALLEE_SAVED:
-                free_callee.append(register)
-            else:
-                free_caller.append(register)
-
-    def insert_active(interval: _Interval) -> None:
-        index = 0
-        while index < len(active) and active[index].end <= interval.end:
-            index += 1
-        active.insert(index, interval)
-
     for interval in intervals:
-        expire(interval.start)
+        # Expire the intervals that ended before this one starts.
+        expired = bisect_left(active_ends, interval.start)
+        if expired:
+            for register in active[:expired]:
+                if register in CALLEE_SAVED:
+                    free_callee.append(register)
+                else:
+                    free_caller.append(register)
+            del active[:expired]
+            del active_ends[:expired]
         register: Optional[str] = None
         if interval.crosses_call:
             if free_callee:
@@ -158,11 +151,12 @@ def allocate_registers(function: IRFunction) -> Allocation:
             allocation.n_spill_slots += 1
             allocation.locations[interval.vreg] = Location(spill_slot=slot)
             continue
-        register_of[interval.vreg] = register
         if register in CALLEE_SAVED:
             used_callee.add(register)
         allocation.locations[interval.vreg] = Location(register=register)
-        insert_active(interval)
+        index = bisect_right(active_ends, interval.end)
+        active.insert(index, register)
+        active_ends.insert(index, interval.end)
 
     allocation.used_callee_saved = sorted(used_callee)
     return allocation

@@ -1,6 +1,10 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the hang watchdog."""
 
 from __future__ import annotations
+
+import faulthandler
+import os
+import sys
 
 import pytest
 
@@ -8,6 +12,35 @@ from repro.analysis import analyze_deadness
 from repro.emulator import run_program
 from repro.isa import assemble
 from repro.lang import CompilerOptions, compile_to_program
+
+
+#: A test that runs this long, set-up and teardown included, is taken
+#: to hang: every thread's stack is printed and the run exits with
+#: status 1 instead of blocking.  The slowest test takes about 13 s on
+#: a 2-vCPU host.
+HANG_TIMEOUT_S = 300
+
+#: a copy of the original stderr: test output, fd 2 included, is
+#: captured while a test runs
+_HANG_REPORT_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_HANG_REPORT_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_HANG_REPORT_FD])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(
+        HANG_TIMEOUT_S, exit=True, file=item.config.stash[_HANG_REPORT_FD])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import AssemblyError, Opcode, assemble
+from repro.isa import AssemblyError, Opcode, assemble, encode
 from repro.isa.program import DATA_BASE
 
 
@@ -200,3 +200,48 @@ def test_branch_out_of_range_rejected():
     body = "\n".join(["nop"] * 9000)
     with pytest.raises(AssemblyError):
         assemble("x: nop\n%s\nbeq zero, zero, x" % body)
+
+
+@pytest.mark.parametrize("line", [
+    "addi t0, t0, 70000",
+    "addi t0, t0, -32769",
+    "lw t0, 40000(sp)",
+    "sw t0, -40000(sp)",
+    "lui t0, 70000",
+    "andi t0, t0, -1",
+    "ori t0, t0, 0x10000",
+    "sll t0, t0, 40000",
+    "li t0, 99999999999",
+    "li t0, -2147483649",
+    "la t0, 0x100000000",
+    "j -4",
+    "jal 0x10000000",
+])
+def test_value_the_encoding_cannot_hold_rejected(line):
+    # Each value lies outside the field that would encode it (for
+    # li/la, outside 32 bits), so no Program may hold it.
+    with pytest.raises(AssemblyError) as excinfo:
+        assemble("nop\n    %s" % line)
+    assert excinfo.value.line == 2
+
+
+def test_word_the_data_segment_cannot_hold_rejected():
+    with pytest.raises(AssemblyError) as excinfo:
+        assemble("nop\n.data\nw: .word 1, 0x100000000")
+    assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize("line", [
+    "addi t0, t0, 32767",
+    "addi t0, t0, -32768",
+    "lw t0, -32768(sp)",
+    "andi t0, t0, 0xFFFF",
+    "lui t0, 0xFFFF",
+    "li t0, 0xFFFFFFFF",
+    "li t0, -2147483648",
+    "la t0, 0xFFFFFFFF",
+    "jal 0xFFFFFFC",
+])
+def test_extremes_of_each_field_assemble_and_encode(line):
+    for instruction in assemble(line).instructions:
+        encode(instruction)

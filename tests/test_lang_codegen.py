@@ -1,7 +1,14 @@
 """Code generation: frame discipline, provenance, addressing."""
 
+import pytest
+
 from repro.isa import assemble
-from repro.lang import CompilerOptions, compile_source, compile_to_program
+from repro.lang import (
+    CompileError,
+    CompilerOptions,
+    compile_source,
+    compile_to_program,
+)
 
 CALLS = """
 int helper(int x) { return x * 3; }
@@ -129,3 +136,41 @@ void main() {
 """)
     machine, _ = run_program(program)
     assert machine.output == [11]
+
+
+def _encoded_output(source):
+    """Run *source*, checking that every instruction it compiles to
+    fits the binary encoding."""
+    from repro.emulator import run_program
+    from repro.isa import encode
+
+    program = compile_to_program(source)
+    for instruction in program.instructions:
+        encode(instruction)
+    machine, _ = run_program(program)
+    return machine.output
+
+
+def test_constants_wider_than_32_bits_keep_their_low_bits():
+    # The machine's wrapping arithmetic keeps the low 32 bits; so does
+    # the code generator, since the assembler rejects wider values.
+    assert _encoded_output("""
+int g = 4294967297;
+void main() { print(g); print(65536 * 65536 + 5); }
+""") == [1, 5]
+
+
+def test_constant_index_beyond_16_bit_offsets():
+    assert _encoded_output("""
+int big[20000];
+void main() { big[10000] = 7; big[3] = 4; print(big[10000] + big[3]); }
+""") == [11]
+
+
+@pytest.mark.parametrize("source", [
+    "void main() { int buffer[9000]; buffer[0] = 1; print(buffer[0]); }",
+    "int pad[9000]; int late; void main() { late = 1; print(late); }",
+], ids=["frame", "data-segment"])
+def test_offsets_beyond_addressing_range_are_compile_errors(source):
+    with pytest.raises(CompileError):
+        compile_source(source)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.lang import ast_nodes as ast
+from repro.lang import compile_source
 from repro.lang.errors import CompileError
-from repro.lang.parser import parse
+from repro.lang.parser import MAX_NESTING, parse
 
 
 def parse_expr(text):
@@ -164,3 +165,50 @@ def test_error_has_line_number():
     with pytest.raises(CompileError) as excinfo:
         parse("void main() {\n  x = ;\n}")
     assert "line 2" in str(excinfo.value)
+
+
+# ----- nesting limit -----
+
+def _parens(depth):
+    return "void main() {\n  print(%s1%s);\n}" % ("(" * depth, ")" * depth)
+
+
+def _ifs(depth):
+    return "void main() {\n%s  print(1);\n%s}" % (
+        "  if (1) {\n" * depth, "  }\n" * depth)
+
+
+def test_deep_parentheses_compile():
+    # Well inside the limit: parsing and lowering recurse only a few
+    # interpreter frames per level.
+    assert compile_source(_parens(70))
+
+
+@pytest.mark.parametrize("source, line", [
+    (_parens(10000), 2),
+    # Each `if (1) {` is two levels, the if and its block: the one on
+    # line 102 is the 201st.
+    (_ifs(300), 102),
+    ("int x;\nvoid main() {\n  x = %s;\n}" % " + ".join(["x"] * 300), 3),
+    ("int x;\nvoid main() {\n  x = %sx;\n}" % ("-" * 300), 3),
+], ids=["parentheses", "ifs", "binary-chain", "unary-chain"])
+def test_nesting_beyond_the_limit_is_a_compile_error(source, line):
+    with pytest.raises(CompileError) as info:
+        compile_source(source)
+    assert info.value.line == line
+    assert "nested more than %d levels" % MAX_NESTING in str(info.value)
+
+
+@pytest.mark.parametrize("source", [
+    _parens(MAX_NESTING - 3),
+    _ifs(MAX_NESTING // 2 - 1),
+    "int x; void main() { x = %s; }" % " + ".join(["x"] * (MAX_NESTING - 1)),
+    "int x; void main() { if (%s) { x = 1; } }" % " && ".join(
+        ["x"] * (MAX_NESTING - 1)),
+    "int x; void main() { x = %sx; }" % ("-" * (MAX_NESTING - 3)),
+], ids=["parentheses", "ifs", "binary-chain", "condition-chain",
+        "unary-chain"])
+def test_nesting_at_the_limit_compiles(source):
+    # The limit keeps the parser and lowering far enough from the
+    # interpreter's recursion limit to run under a test framework.
+    assert compile_source(source)
