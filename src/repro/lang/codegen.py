@@ -265,13 +265,15 @@ class _FunctionCodegen:
     def _load(self, instr: ir.Load) -> None:
         base = self.read(instr.base, "k1")
         register, spill = self.dest(instr.dst)
-        self.emit("lw %s, %s" % (register, self.memory_operand(instr.offset, base)))
+        address = self.memory_operand(instr.offset, base)
+        self.emit("lw %s, %s" % (register, address))
         self.write_back(spill)
 
     def _store(self, instr: ir.Store) -> None:
         value = self.read(instr.src, "k0")
         base = self.read(instr.base, "k1")
-        self.emit("sw %s, %s" % (value, self.memory_operand(instr.offset, base)))
+        address = self.memory_operand(instr.offset, base)
+        self.emit("sw %s, %s" % (value, address))
 
     def _load_global(self, instr: ir.LoadGlobal) -> None:
         register, spill = self.dest(instr.dst)
