@@ -323,11 +323,12 @@ class ArtifactPlane:
     def __init__(self, cache_root: str):
         self.cache_root = os.path.abspath(cache_root)
         self.root = os.path.join(self.cache_root, PLANE_DIR)
-        #: robustness tallies for this handle (see also the obs
-        #: counters ``repro_artifact_*_total``)
+        #: robustness tallies for this handle (``Engine.robustness``);
+        #: ``fallbacks`` counts cells re-materialized through the
+        #: pickle tier after a shipped handle failed to re-attach
         self.counters: Dict[str, int] = {
             "attach_hits": 0, "attach_misses": 0, "stores": 0,
-            "store_errors": 0, "quarantined": 0,
+            "store_errors": 0, "quarantined": 0, "fallbacks": 0,
         }
 
     @property
@@ -392,8 +393,6 @@ class ArtifactPlane:
             bundle.close()
             return self._miss()
         self.counters["attach_hits"] += 1
-        self._count("repro_artifact_attach_total",
-                    "artifact bundle attaches by outcome", result="hit")
         return bundle
 
     def _checksum_ok(self, path: str, bundle: ColumnBundle,
@@ -415,9 +414,6 @@ class ArtifactPlane:
 
     def _miss(self) -> None:
         self.counters["attach_misses"] += 1
-        self._count("repro_artifact_attach_total",
-                    "artifact bundle attaches by outcome",
-                    result="miss")
         return None
 
     @staticmethod
@@ -458,17 +454,13 @@ class ArtifactPlane:
                 raise
         except Exception:
             self.counters["store_errors"] += 1
-            self._count("repro_artifact_store_errors_total",
-                        "swallowed artifact store failures")
             return None
         self.counters["stores"] += 1
-        self._count("repro_artifact_stores_total",
-                    "artifact bundles stored")
         checksum = blob[len(MAGIC):len(MAGIC) + 64].decode("ascii")
         return ArtifactHandle(key=key, kind=kind, path=path,
                               checksum=checksum, n=int(n))
 
-    # -- quarantine / telemetry ---------------------------------------
+    # -- quarantine / stats -------------------------------------------
 
     def _quarantine(self, path: str) -> None:
         try:
@@ -481,14 +473,6 @@ class ArtifactPlane:
             except OSError:
                 pass
         self.counters["quarantined"] += 1
-        self._count("repro_artifact_quarantined_total",
-                    "artifact bundles quarantined as corrupt")
-
-    @staticmethod
-    def _count(name: str, help_text: str, **labels: str) -> None:
-        from repro import obs
-
-        obs.metrics().counter(name, help_text, **labels).inc()
 
     def stats(self) -> Dict[str, int]:
         """``{"entries": n, "bytes": b}`` over the live plane files."""

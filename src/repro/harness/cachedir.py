@@ -173,8 +173,7 @@ class CacheDir:
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        #: robustness tallies for this handle (see also the obs
-        #: counters ``repro_cache_*_total``)
+        #: robustness tallies for this handle (``Engine.robustness``)
         self.counters: Dict[str, int] = {
             "store_errors": 0, "quarantined": 0, "tmp_swept": 0,
             "evicted": 0,
@@ -265,8 +264,6 @@ class CacheDir:
                 raise
         except Exception:
             self.counters["store_errors"] += 1
-            self._count("repro_cache_store_errors_total",
-                        "swallowed cache store failures", stage=stage)
 
     # -- quarantine ---------------------------------------------------
 
@@ -286,8 +283,6 @@ class CacheDir:
             except OSError:
                 pass
         self.counters["quarantined"] += 1
-        self._count("repro_cache_quarantined_total",
-                    "cache entries quarantined as corrupt", stage=stage)
 
     def quarantine_stats(self) -> Dict[str, int]:
         """``{"entries": n, "bytes": b}`` over the quarantine tree."""
@@ -309,12 +304,6 @@ class CacheDir:
             for dirpath, _dirnames, filenames in os.walk(root):
                 for filename in sorted(filenames):
                     yield dirpath, os.path.join(dirpath, filename)
-
-    @staticmethod
-    def _count(name: str, help_text: str, **labels: str) -> None:
-        from repro import obs
-
-        obs.metrics().counter(name, help_text, **labels).inc()
 
     # -- maintenance --------------------------------------------------
 

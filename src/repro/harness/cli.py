@@ -18,15 +18,12 @@ Examples::
     python -m repro.harness cache gc --max-bytes 100000000   # bound it
     python -m repro.harness F6 F7 --obs      # collect telemetry
     python -m repro.harness F6 --obs --profile   # + cProfile pstats
-    python -m repro.harness F5 --jobs 2 --serve-metrics 9300  # live scrape
     python -m repro.harness obs report last  # render stored telemetry
     python -m repro.harness obs timeline last --label mergesort
     python -m repro.harness obs hotspots last --top 20
-    python -m repro.harness obs export last  # Prometheus text format
     python -m repro.harness obs history      # per-run timing history
     python -m repro.harness obs trend --pass deadness
     python -m repro.harness obs regress --threshold 2.0  # CI gate
-    python -m repro.harness obs serve --port 9300  # replay stored run
 
 Experiment runs execute through :mod:`repro.harness.engine` (staged
 on-disk cache + optional multiprocessing) and each invocation records
@@ -36,7 +33,7 @@ cache hits/misses, instruction counts, host info) under
 
 With ``--obs`` (or ``REPRO_OBS=1``) the run additionally collects
 telemetry — hierarchical spans, pipeline occupancy timelines, predictor
-introspection, a metrics registry — stored under
+introspection — stored under
 ``<cache-dir>/runs/obs-<run_id>/`` and rendered by the ``obs``
 subcommands.  See :mod:`repro.obs` and ``docs/observability.md``.
 """
@@ -160,19 +157,12 @@ def _experiments_main(argv: List[str]) -> int:
                              "<cache-dir>/runs/")
     parser.add_argument("--obs", action="store_true",
                         help="collect telemetry (spans, pipeline "
-                             "timelines, predictor introspection, "
-                             "metrics) under <cache-dir>/runs/obs-<id>/"
-                             "; also enabled by REPRO_OBS=1")
+                             "timelines, predictor introspection) under "
+                             "<cache-dir>/runs/obs-<id>/; also enabled "
+                             "by REPRO_OBS=1")
     parser.add_argument("--profile", action="store_true",
                         help="store a cProfile pstats file per "
                              "experiment (implies --obs)")
-    parser.add_argument("--serve-metrics", type=int, default=None,
-                        metavar="PORT",
-                        help="expose the live merged registry on "
-                             "http://127.0.0.1:PORT/metrics (and "
-                             "/healthz) for the duration of the run; "
-                             "0 picks an ephemeral port (implies "
-                             "--obs)")
     parser.add_argument("--no-history", action="store_true",
                         help="do not append this run to the timing "
                              "history under <cache-dir>/obs-history/")
@@ -200,8 +190,7 @@ def _experiments_main(argv: List[str]) -> int:
     from repro.harness.runmeta import RunRecorder
 
     obs_config = obslib.obs_config_from_env()
-    if (args.obs or args.profile or args.serve_metrics is not None) \
-            and obs_config is None:
+    if (args.obs or args.profile) and obs_config is None:
         obs_config = obslib.ObsConfig()
     collector = obslib.configure_obs(obs_config)
 
@@ -210,43 +199,8 @@ def _experiments_main(argv: List[str]) -> int:
     runs_root = CacheDir(args.cache_dir).runs_root
     obs_dir = os.path.join(runs_root, "obs-%s" % recorder.run_id)
 
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs.serve import MetricsServer, collector_provider
-
-        server = MetricsServer(
-            collector_provider,
-            health_provider=lambda: {"run_id": recorder.run_id},
-            port=args.serve_metrics)
-        try:
-            host, port = server.start()
-        except OSError as error:
-            print("could not start metrics endpoint: %s" % error,
-                  file=sys.stderr)
-            server = None
-        else:
-            # Printed (and flushed) before the first experiment so a
-            # scraper can attach while the run executes.
-            print("serving /metrics on http://%s:%d/metrics "
-                  "(healthz: /healthz)" % (host, port), flush=True)
-
     dumps = {}
     failed_experiments = []
-    try:
-        return _run_experiments(args, ids, engine, collector, recorder,
-                                runs_root, obs_dir, dumps,
-                                failed_experiments, argv)
-    finally:
-        if server is not None:
-            server.stop()
-
-
-def _run_experiments(args, ids, engine, collector, recorder, runs_root,
-                     obs_dir, dumps, failed_experiments,
-                     argv: List[str]) -> int:
-    """The experiment loop plus end-of-run persistence (split from
-    :func:`_experiments_main` so the metrics endpoint can be torn down
-    in one ``finally`` regardless of how the run ends)."""
     with contextlib.ExitStack() as run_stack:
         if collector is not None:
             run_stack.enter_context(collector.tracer.span(
@@ -334,9 +288,11 @@ def _run_experiments(args, ids, engine, collector, recorder, runs_root,
         from repro.obs import history as obs_history
 
         try:
+            spans = ([span.to_dict() for span in collector.tracer.spans]
+                     if collector is not None else [])
             record = obs_history.make_record(
                 recorder.document(),
-                obs_history.kernel_pass_table(collector),
+                obs_history.kernel_pass_table(spans),
                 scale=args.scale)
             history_file = obs_history.append_record(args.cache_dir,
                                                      record)
@@ -442,8 +398,8 @@ def _table_main(argv: List[str]) -> int:
                         help="do not record run metadata under "
                              "<cache-dir>/runs/")
     parser.add_argument("--obs", action="store_true",
-                        help="collect telemetry (runtable:<id> spans, "
-                             "cell metrics) under "
+                        help="collect telemetry (runtable:<id> and "
+                             "stage spans) under "
                              "<cache-dir>/runs/obs-<id>/; also "
                              "enabled by REPRO_OBS=1")
     _add_engine_arguments(parser)
@@ -698,16 +654,13 @@ def _obs_main(argv: List[str]) -> int:
         description="Render stored observability artifacts: 'report' "
                     "(spans + timelines + hotspots), 'timeline' "
                     "(pipeline occupancy charts), 'hotspots' (top "
-                    "mispredicted PCs), 'export' (Prometheus text), "
-                    "'history'/'trend' (the persistent run-history "
-                    "log), 'regress' (latest run vs rolling baseline; "
-                    "non-zero exit on regression — a CI gate), "
-                    "'serve' (HTTP /metrics endpoint over a stored "
-                    "run).")
+                    "mispredicted PCs), 'history'/'trend' (the "
+                    "persistent run-history log), 'regress' (latest "
+                    "run vs rolling baseline; non-zero exit on "
+                    "regression — a CI gate).")
     parser.add_argument("action",
                         choices=("report", "timeline", "hotspots",
-                                 "export", "history", "trend",
-                                 "regress", "serve"))
+                                 "history", "trend", "regress"))
     parser.add_argument("run", nargs="?", default="last",
                         metavar="RUN",
                         help="run id, unique prefix, or 'last' "
@@ -748,10 +701,6 @@ def _obs_main(argv: List[str]) -> int:
                         help="regress: compare across config "
                              "fingerprints (experiments/scale) "
                              "instead of requiring a match")
-    parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                        help="serve: bind address (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0, metavar="PORT",
-                        help="serve: port (default 0 = ephemeral)")
     args = parser.parse_args(argv)
 
     from repro.harness.cachedir import CacheDir
@@ -763,8 +712,6 @@ def _obs_main(argv: List[str]) -> int:
     runs_root = CacheDir(args.cache_dir).runs_root
     if args.action in ("history", "trend", "regress"):
         return _obs_history_main(args)
-    if args.action == "serve":
-        return _obs_serve_main(args, runs_root)
     run_doc = resolve_run(runs_root, args.run)
     if run_doc is None:
         print("no run matches %r under %s (run an experiment with "
@@ -775,23 +722,19 @@ def _obs_main(argv: List[str]) -> int:
     if args.json:
         import json
 
-        json.dump({"run": run_doc, "obs": {
-            key: value for key, value in obs.items()
-            if key != "metrics"}}, sys.stdout, indent=2, sort_keys=True)
+        json.dump({"run": run_doc, "obs": obs}, sys.stdout, indent=2,
+                  sort_keys=True)
         print()
         return 0
     if args.action == "report":
         print(render_report(run_doc, obs, top=args.top))
     elif args.action == "timeline":
         print(render_timelines(obs, label=args.label))
-    elif args.action == "hotspots":
+    else:  # hotspots
         print(render_hotspots(obs.get("probes", []), top=args.top))
         print()
         print("-- kernel passes --")
         print(render_kernel_passes(obs.get("spans", [])))
-    else:  # export
-        sys.stdout.write(obs.get("metrics", "") or
-                         "# no metrics recorded\n")
     return 0
 
 
@@ -847,29 +790,6 @@ def _obs_history_main(args) -> int:
     print(obs_history.render_regress(latest, baseline, regressions,
                                      args.threshold))
     return 1 if regressions else 0
-
-
-def _obs_serve_main(args, runs_root: str) -> int:
-    """``obs serve``: a foreground /metrics endpoint replaying a
-    stored run's exposition (re-resolved per request)."""
-    from repro.obs.serve import MetricsServer, stored_provider
-
-    server = MetricsServer(
-        stored_provider(runs_root, args.run),
-        health_provider=lambda: {"runs_root": runs_root,
-                                 "run": args.run},
-        host=args.host, port=args.port)
-    try:
-        host, port = server.start()
-    except OSError as error:
-        print("could not bind %s:%d: %s" %
-              (args.host, args.port, error), file=sys.stderr)
-        return 1
-    print("serving stored run %r on http://%s:%d/metrics "
-          "(healthz: /healthz; Ctrl-C to stop)" %
-          (args.run, host, port), flush=True)
-    server.run_until_interrupt()
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -188,8 +188,9 @@ def _plane_for(config: EngineConfig
 
 class StageStats:
     """Per-stage hit/miss/compute-seconds counters (plus totals the
-    run metadata wants).  ``snapshot()``/``delta_since()`` attribute
-    activity to individual experiments."""
+    run metadata wants), written only through :meth:`Engine.note_stage`.
+    ``snapshot()``/``delta_since()`` attribute activity to individual
+    experiments."""
 
     def __init__(self):
         self.counts: Dict[str, Dict[str, float]] = {}
@@ -207,11 +208,6 @@ class StageStats:
             stage, {"hits": 0, "misses": 0, "seconds": 0.0})
         bucket["hits" if hit else "misses"] += 1
         bucket["seconds"] += seconds
-
-    def merge_stage_report(self,
-                           report: Dict[str, Dict[str, object]]) -> None:
-        for stage, info in report.items():
-            self.add(stage, bool(info["hit"]), float(info["seconds"]))
 
     def hits(self, stage: str) -> int:
         return int(self.counts.get(stage, {}).get("hits", 0))
@@ -305,11 +301,6 @@ def _program_for(trace_key: str, asm: str, name: str):
     return entry
 
 
-#: Sentinel: resolve the artifact plane from the config (pool workers,
-#: which cannot share the parent engine's handle).
-_PLANE_AUTO = object()
-
-
 def _bundle_output(bundle) -> "object":
     """A trace bundle's stored emulator output, or :data:`MISS` when
     the pickled column is itself unreadable (treated as a plane miss —
@@ -322,17 +313,17 @@ def _bundle_output(bundle) -> "object":
 
 def _compute_cell_payload(spec: CellSpec,
                           config: EngineConfig,
-                          cache: Optional[CacheDir] = None,
+                          cache: Optional[CacheDir],
                           injected: Tuple[str, ...] = (),
-                          plane: "object" = _PLANE_AUTO
+                          plane: Optional[artifacts.ArtifactPlane] = None
                           ) -> Dict[str, object]:
     """Run one cell's compile → trace → analysis chain, using and
-    populating the on-disk cache.  Top-level so pool workers can
-    execute it; returns only plainly picklable data.
+    populating the on-disk *cache* (``None``: uncached).  Top-level so
+    pool workers can execute it; returns only plainly picklable data.
 
-    *cache* lets the serial path reuse the engine's own
-    :class:`CacheDir` handle so its robustness counters accrue in one
-    place; pool workers pass ``None`` and build their own.  *injected*
+    The serial path passes the engine's own :class:`CacheDir` and
+    plane handles, pool workers per-task ones, so each handle's
+    robustness counters tally exactly its caller's work.  *injected*
     carries the worker-level fault points the parent drew for this
     dispatch (:func:`repro.harness.faults.draw_cell_faults`).
 
@@ -342,8 +333,6 @@ def _compute_cell_payload(spec: CellSpec,
     :class:`~repro.harness.artifacts.ArtifactHandle` references
     (``"trace_artifact"``/``"analysis_artifact"``) instead of the
     column data — the parent re-attaches the same bundles by checksum.
-    The engine passes its own handle on the serial path;
-    :data:`_PLANE_AUTO` resolves from *config* (pool workers);
     ``None`` forces the pickle tier.
     """
     if "worker.hang" in injected:
@@ -351,10 +340,6 @@ def _compute_cell_payload(spec: CellSpec,
     if "worker.crash" in injected:
         raise faults.WorkerCrash(
             "injected worker crash in cell %s" % spec.describe())
-    if cache is None and config.cache:
-        cache = CacheDir(config.cache_dir)
-    if plane is _PLANE_AUTO:
-        plane = _plane_for(config)
     workload = get_workload(spec.workload)
     source = workload.source(spec.scale)
     stages: Dict[str, Dict[str, object]] = {}
@@ -527,26 +512,59 @@ def _worker_obs_config():
     return collector.config if collector is not None else None
 
 
+def _summed(*tallies: Optional[Dict[str, int]]) -> Dict[str, int]:
+    """Counter dictionaries added key by key (first-seen key order)."""
+    total: Dict[str, int] = {}
+    for tally in tallies:
+        for name, count in (tally or {}).items():
+            total[name] = total.get(name, 0) + count
+    return total
+
+
+def _worker_task(config: EngineConfig, obs_config, body
+                 ) -> Dict[str, object]:
+    """Run ``body(cache, plane)`` as one pool task on per-task cache
+    and plane handles, and add to the dict it returns what the parent
+    folds in (:meth:`Engine._absorb_worker_result`): ``"counters"``,
+    the task's cache and plane counters and the faults fired while it
+    ran, and — observed only — ``"obs_delta"``, the task's spans.  An
+    observed task runs under a fresh collector (never the
+    fork-inherited copy of the parent's) that it removes afterwards."""
+    from repro.obs import delta as obs_delta
+
+    if obs_config is not None:
+        obs_delta.install_worker_collector(obs_config)
+    fired = faults.fired_counts()
+    cache = CacheDir(config.cache_dir) if config.cache else None
+    plane = _plane_for(config)
+    try:
+        result = body(cache, plane)
+        result["counters"] = {
+            "cache": dict(cache.counters) if cache is not None else {},
+            "artifacts": (dict(plane.counters) if plane is not None
+                          else {}),
+            "faults": {point: count - fired.get(point, 0)
+                       for point, count in faults.fired_counts().items()
+                       if count != fired.get(point, 0)},
+        }
+        if obs_config is not None:
+            result["obs_delta"] = obs_delta.snapshot_delta()
+        return result
+    finally:
+        if obs_config is not None:
+            obs.reset_obs()
+
+
 def _pool_cell_worker(spec: CellSpec, config: EngineConfig,
                       injected: Tuple[str, ...],
                       obs_config) -> Dict[str, object]:
-    """Pool entry point for one cell: install a fresh per-task
-    collector (never the fork-inherited copy of the parent's), compute
-    the payload, and ride the worker's telemetry delta home on it.
-    With *obs_config* ``None`` this is exactly
-    :func:`_compute_cell_payload` — no collector, no snapshot, no
-    extra bytes on the result pipe."""
-    from repro.obs import delta as obs_delta
-
-    if obs_config is None:
-        return _compute_cell_payload(spec, config, None, injected)
-    obs_delta.install_worker_collector(obs_config)
-    try:
-        payload = _compute_cell_payload(spec, config, None, injected)
-        payload["obs_delta"] = obs_delta.snapshot_delta()
-        return payload
-    finally:
-        obs.reset_obs()
+    """Pool entry point for one cell: the payload of
+    :func:`_compute_cell_payload` plus the task's counters and, when
+    *obs_config* is set, its telemetry delta (:func:`_worker_task`)."""
+    return _worker_task(
+        config, obs_config,
+        lambda cache, plane: _compute_cell_payload(
+            spec, config, cache, injected, plane))
 
 
 def _fused_to_doc(fused: FusedColumns) -> Dict[str, object]:
@@ -651,10 +669,8 @@ def _materialize_payload(spec: CellSpec, payload: Dict[str, object],
     try:
         return _payload_to_artifact(spec, payload, plane)
     except artifacts.ArtifactUnavailable:
-        obs.metrics().counter(
-            "repro_artifact_fallback_total",
-            "cells re-materialized after a handle failed to attach"
-        ).inc()
+        if plane is not None:
+            plane.counters["fallbacks"] += 1
         payload = _compute_cell_payload(spec, config, cache, (),
                                         plane=None)
         return _payload_to_artifact(spec, payload, None)
@@ -681,6 +697,11 @@ def _simulate_key(trace_key: str, machine_config: MachineConfig,
     return stable_hash(*parts)
 
 
+def _variant(machine_config: MachineConfig) -> str:
+    """``elim`` or ``base``: the timing label of a machine config."""
+    return "elim" if machine_config.eliminate else "base"
+
+
 def _prefetch_sim_worker(args: Tuple[CellSpec,
                                      Tuple[MachineConfig, ...],
                                      EngineConfig, Tuple[str, ...],
@@ -691,17 +712,12 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
     and returning all of them for the in-memory memo.  Batching is the
     point: the cell's trace/analysis attach (or unpickle) once per
     *batch*, not once per simulation.  Like cell dispatch, the batch
-    runs under a fresh per-task collector (the parent's ObsConfig, so
-    timing keys agree) and ships its telemetry delta back in the
-    result — ``{"results": [...], "obs_delta": ... or absent}``."""
-    from repro.obs import delta as obs_delta
-
+    runs as one :func:`_worker_task` (the parent's ObsConfig, so
+    timing keys agree): ``{"results": [...], "counters": ...,
+    "obs_delta": ... or absent}``."""
     spec, machine_configs, config, injected, obs_config = args
-    if obs_config is not None:
-        obs_delta.install_worker_collector(obs_config)
-    try:
-        cache = CacheDir(config.cache_dir) if config.cache else None
-        plane = _plane_for(config)
+
+    def batch(cache, plane) -> Dict[str, object]:
         payload = _compute_cell_payload(spec, config, cache,
                                         injected=injected, plane=plane)
         artifact = _materialize_payload(spec, payload, config, cache,
@@ -719,13 +735,9 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
                     cache.store("timing", key, result)
             results.append((key, result,
                             time.perf_counter() - started))
-        out: Dict[str, object] = {"results": results}
-        if obs_config is not None:
-            out["obs_delta"] = obs_delta.snapshot_delta()
-        return out
-    finally:
-        if obs_config is not None:
-            obs.reset_obs()
+        return {"results": results}
+
+    return _worker_task(config, obs_config, batch)
 
 
 # ---------------------------------------------------------------------
@@ -761,6 +773,9 @@ class Engine:
         #: worker pid -> stable small ordinal for telemetry labels
         #: (``worker="0"``, ``worker="1"``, ... in first-seen order)
         self._worker_ids: Dict[int, str] = {}
+        #: pool tasks' robustness counters, summed per group
+        #: (``cache``, ``artifacts``, ``faults``); see :meth:`robustness`
+        self._worker_counters: Dict[str, Dict[str, int]] = {}
 
     # -- cells --------------------------------------------------------
 
@@ -782,15 +797,18 @@ class Engine:
                         for spec in specs]
         else:
             payloads = self._run_cells_pool(specs, partial)
-        collector = obs.get_collector()
         materialized = []
         for spec, payload in zip(specs, payloads):
             if payload is None:  # failed cell in partial mode
                 continue
-            self.stats.merge_stage_report(payload["stages"])
+            # A pooled cell's stage spans carry the worker that ran it.
+            attrs = {"cell": spec.describe()}
+            if "worker" in payload:
+                attrs["worker"] = payload["worker"]
+            for stage, info in payload["stages"].items():
+                self.note_stage(stage, info["hit"], info["seconds"],
+                                **attrs)
             self.stats.instructions += payload["n"]
-            if collector is not None:
-                self._note_cell(collector, spec, payload["stages"])
             materialized.append(self._materialize(spec, payload))
         return materialized
 
@@ -798,26 +816,6 @@ class Engine:
                      payload: Dict[str, object]) -> CellArtifact:
         return _materialize_payload(spec, payload, self.config,
                                     self.cache, self.plane)
-
-    @staticmethod
-    def _note_cell(collector, spec: CellSpec,
-                   stages: Dict[str, Dict[str, object]]) -> None:
-        """Telemetry for one materialized cell: a span per stage (the
-        worker's measured wall time, recorded post-hoc since pool cells
-        run in other processes) plus registry counters."""
-        registry = collector.registry
-        tracer = collector.tracer
-        cell = spec.describe()
-        for stage, info in stages.items():
-            hit = bool(info["hit"])
-            seconds = float(info["seconds"])
-            tracer.add("stage:%s" % stage, seconds, hit=hit, cell=cell)
-            registry.counter(
-                "repro_stage_total", "stage executions by outcome",
-                stage=stage, result="hit" if hit else "miss").inc()
-            registry.histogram(
-                "repro_stage_seconds", "stage wall time",
-                stage=stage).observe(seconds)
 
     def _cell_with_retry(self, spec: CellSpec) -> Dict[str, object]:
         """Compute one cell serially, retrying with exponential
@@ -833,7 +831,7 @@ class Engine:
             except Exception:
                 if attempt + 1 == attempts:
                     raise
-                self._note_retry()
+                self.stats.retries += 1
                 delay = self.config.retry_backoff * (2 ** attempt)
                 if delay > 0:
                     time.sleep(delay)
@@ -852,9 +850,6 @@ class Engine:
                 "cell": spec.describe(),
                 "error": "%s: %s" % (type(error).__name__, error),
             })
-            obs.metrics().counter(
-                "repro_cells_failed_total",
-                "cells dropped after exhausting retries").inc()
             return None
 
     def _worker_label(self, pid) -> str:
@@ -864,43 +859,30 @@ class Engine:
             self._worker_ids[pid] = label
         return label
 
-    def _absorb_worker_delta(self, payload) -> None:
-        """Merge a pool result's telemetry delta into the parent
-        collector with a ``worker="<n>"`` label (no-op — and no key
-        lookup cost beyond one ``dict.pop`` — when the payload carries
-        none or telemetry is off)."""
-        if not isinstance(payload, dict):
-            return
-        delta = payload.pop("obs_delta", None)
-        if delta is None:
-            return
+    def _absorb_worker_result(self, result: Dict[str, object]) -> None:
+        """Fold one pool result's task counters into the engine's
+        worker tallies and merge its telemetry delta, if any, into the
+        parent collector under a ``worker="<n>"`` label, which then
+        replaces the delta as ``result["worker"]``."""
+        for group, counts in result.pop("counters", {}).items():
+            self._worker_counters[group] = _summed(
+                self._worker_counters.get(group), counts)
+        delta = result.pop("obs_delta", None)
         collector = obs.get_collector()
-        if collector is None:
+        if delta is None or collector is None:
             return
         from repro.obs import delta as obs_delta
 
-        obs_delta.merge_delta(collector, delta,
-                              worker=self._worker_label(
-                                  delta.get("pid")))
-
-    def _note_retry(self) -> None:
-        self.stats.retries += 1
-        obs.metrics().counter(
-            "repro_cell_retries_total", "cell retry attempts").inc()
+        result["worker"] = self._worker_label(delta.get("pid"))
+        obs_delta.merge_delta(collector, delta, worker=result["worker"])
 
     def _note_pool_fault(self) -> None:
         """One pool-level fault (crash/hang/timeout/unpicklable
         result); enough of them trips serial degradation."""
         self.stats.pool_faults += 1
-        obs.metrics().counter(
-            "repro_pool_faults_total", "pool worker faults").inc()
-        if (not self._pool_degraded
-                and self.stats.pool_faults
-                >= max(self.config.pool_fault_limit, 1)):
+        if self.stats.pool_faults >= max(self.config.pool_fault_limit,
+                                         1):
             self._pool_degraded = True
-            obs.metrics().counter(
-                "repro_pool_degraded_total",
-                "engines degraded from pool to serial").inc()
 
     def _run_cells_pool(self, specs: Sequence[CellSpec],
                         partial: bool
@@ -933,7 +915,7 @@ class Engine:
                 try:
                     payloads[index] = handle.get(
                         self.config.cell_timeout)
-                    self._absorb_worker_delta(payloads[index])
+                    self._absorb_worker_result(payloads[index])
                     done[index] = True
                 except Exception:
                     # Worker crash, unpicklable result, or timeout:
@@ -941,7 +923,7 @@ class Engine:
                     # genuine bug still raises on the retry (unless
                     # partial reporting is on).
                     self._note_pool_fault()
-                    self._note_retry()
+                    self.stats.retries += 1
                     payloads[index] = self._serial_cell(specs[index],
                                                         partial)
                     done[index] = True
@@ -961,71 +943,47 @@ class Engine:
                  analysis: Optional[DeadnessAnalysis] = None,
                  trace_key: Optional[str] = None) -> PipelineResult:
         """The cached timing stage.  Without a *trace_key* (ad-hoc
-        traces) the simulation runs uncached."""
+        traces) the simulation runs uncached and is no stage event."""
         if trace_key is None:
-            started = time.perf_counter()
             result = simulate(trace, machine_config, analysis)
-            self._note_timing(
+            self._note_timeline(
                 "adhoc:%s:%s" % (trace.program.name,
                                  machine_config.to_key()),
-                trace, machine_config, result, False,
-                time.perf_counter() - started)
+                trace, machine_config, result)
             return result
         key = _simulate_key(trace_key, machine_config, analysis)
         started = time.perf_counter()
-        memo = self._sim_memo.get(key)
-        if memo is not None:
-            seconds = time.perf_counter() - started
-            self.stats.add("timing", True, seconds)
-            self._note_timing(key, trace, machine_config, memo, True,
-                              seconds)
-            return memo
-        if self.cache:
-            cached = self.cache.load("timing", key)
-            if isinstance(cached, PipelineResult):
-                self._sim_memo[key] = cached
-                seconds = time.perf_counter() - started
-                self.stats.add("timing", True, seconds)
-                self._note_timing(key, trace, machine_config, cached,
-                                  True, seconds)
-                return cached
-        result = simulate(trace, machine_config, analysis)
+        result = self._sim_memo.get(key)
+        hit = result is not None
+        if not hit and self.cache:
+            result = self.cache.load("timing", key)
+            hit = isinstance(result, PipelineResult)
+        if not hit:
+            result = simulate(trace, machine_config, analysis)
+            if self.cache:
+                self.cache.store("timing", key, result)
         self._sim_memo[key] = result
-        if self.cache:
-            self.cache.store("timing", key, result)
-        seconds = time.perf_counter() - started
-        self.stats.add("timing", False, seconds)
-        self._note_timing(key, trace, machine_config, result, False,
-                          seconds)
+        self.note_stage("timing", hit, time.perf_counter() - started,
+                        workload=trace.program.name,
+                        variant=_variant(machine_config))
+        self._note_timeline(key, trace, machine_config, result)
         return result
 
-    def _note_timing(self, key: str, trace: Trace,
-                     machine_config: MachineConfig,
-                     result: PipelineResult, hit: bool,
-                     seconds: float) -> None:
-        """Telemetry for one timing-stage request: span, counters, and
-        the sampled pipeline timeline (which rides inside the cached
-        :class:`PipelineResult`, so hits register it too; the collector
-        deduplicates repeat requests by *key*)."""
+    @staticmethod
+    def _note_timeline(key: str, trace: Trace,
+                       machine_config: MachineConfig,
+                       result: PipelineResult) -> None:
+        """Register an observed simulation's sampled pipeline timeline.
+        It rides inside the cached :class:`PipelineResult`, so hits
+        register it too; the collector deduplicates repeat requests by
+        *key*."""
         collector = obs.get_collector()
-        if collector is None:
-            return
-        label = "%s/%s" % (trace.program.name,
-                           "elim" if machine_config.eliminate
-                           else "base")
-        collector.tracer.add("timing:%s" % label, seconds, hit=hit,
-                             workload=trace.program.name)
-        registry = collector.registry
-        registry.counter(
-            "repro_timing_total", "timing simulations by outcome",
-            result="hit" if hit else "miss").inc()
-        registry.histogram(
-            "repro_timing_seconds", "timing wall time").observe(seconds)
         timeline_doc = getattr(result, "timeline", None)
-        if timeline_doc:
-            collector.add_timeline(key, label, trace.program.name,
-                                   timeline_doc,
-                                   result.stats.to_dict())
+        if collector is not None and timeline_doc:
+            name = trace.program.name
+            collector.add_timeline(
+                key, "%s/%s" % (name, _variant(machine_config)), name,
+                timeline_doc, result.stats.to_dict())
 
     def prefetch_simulations(
             self, items: Sequence[Tuple["object", MachineConfig]]
@@ -1076,7 +1034,7 @@ class Engine:
                     # just falls back to the serial simulate path.
                     self._note_pool_fault()
                     continue
-                self._absorb_worker_delta(batch_result)
+                self._absorb_worker_result(batch_result)
                 for key, result, _seconds in batch_result["results"]:
                     self._sim_memo[key] = result
 
@@ -1100,23 +1058,21 @@ class Engine:
                                    path_bits=path_bits)
             self.cache.store("paths", key, cached)
         self.note_stage("paths", hit, time.perf_counter() - started,
-                        run.trace.program.name)
+                        workload=run.trace.program.name)
         return cached
 
     def note_stage(self, stage: str, hit: bool, seconds: float,
-                   workload: str) -> None:
-        """Account one request of a stage served outside a cell
-        (``paths`` here, ``predict`` in :mod:`repro.harness.sweep`):
-        stage stats, plus a ``stage:<name>`` span and a
-        ``repro_stage_total`` count when telemetry is on."""
+                   **attrs: object) -> None:
+        """Account one stage event — a cell's ``compile``, ``trace`` or
+        ``analysis``, or one ``paths``, ``predict`` (in
+        :mod:`repro.harness.sweep`) or ``timing`` request: the stage
+        stats, plus, when telemetry is on, one ``stage:<stage>`` span
+        carrying *hit* and *attrs*.  The only writer of either."""
         self.stats.add(stage, hit, seconds)
         collector = obs.get_collector()
         if collector is not None:
             collector.tracer.add("stage:%s" % stage, seconds, hit=hit,
-                                 workload=workload)
-            collector.registry.counter(
-                "repro_stage_total", "stage executions by outcome",
-                stage=stage, result="hit" if hit else "miss").inc()
+                                 **attrs)
 
     # -- bookkeeping --------------------------------------------------
 
@@ -1140,21 +1096,26 @@ class Engine:
     def robustness(self) -> Dict[str, object]:
         """Everything the robustness contract promises to report:
         retry/pool-fault/degradation counters, cache store-error and
-        quarantine tallies, injected-fault counts, and any cells
-        dropped in partial mode.  Lands in run metadata and is
-        rendered by ``obs report``."""
+        quarantine tallies, artifact-plane counters, injected-fault
+        counts — each summed over the parent and every pool task —
+        and any cells dropped in partial mode.  Lands in run metadata
+        and is rendered by ``obs report``."""
+        workers = self._worker_counters
         document: Dict[str, object] = {
             "retries": self.stats.retries,
             "pool_faults": self.stats.pool_faults,
             "degraded_to_serial": self._pool_degraded,
             "failed_cells": [dict(cell)
                              for cell in self.stats.failed_cells],
-            "faults_injected": faults.fired_counts(),
+            "faults_injected": _summed(faults.fired_counts(),
+                                       workers.get("faults")),
         }
         if self.cache is not None:
-            document["cache"] = dict(self.cache.counters)
+            document["cache"] = _summed(self.cache.counters,
+                                        workers.get("cache"))
         if self.plane is not None:
-            document["artifacts"] = dict(self.plane.counters)
+            document["artifacts"] = _summed(self.plane.counters,
+                                            workers.get("artifacts"))
         return document
 
 

@@ -54,11 +54,10 @@ shipped to workers as task arguments, so their budgets are spent
 exactly once process-wide; cache-level points (``cache.*`` and the
 ``artifact.read.*``/``artifact.write.*`` plane points) fire wherever
 the load/store happens (a forked pool worker decrements its own copy
-of the plan).  Every
-fired fault is
-tallied (:func:`fired_counts`) and counted in the obs metrics registry
-(``repro_faults_injected_total``) when telemetry is on, which is how
-``obs report`` proves a robustness run actually injected something.
+of the plan).  Every fired fault is tallied (:func:`fired_counts`);
+pool results carry their task's tallies home, and
+``Engine.robustness`` sums them with the parent's, which is how ``obs
+report`` proves a robustness run actually injected something.
 """
 
 from __future__ import annotations
@@ -219,7 +218,6 @@ def should_fire(point: str) -> bool:
     if remaining != UNLIMITED:
         plan.remaining[point] = remaining - 1
     _FIRED[point] = _FIRED.get(point, 0) + 1
-    _note_fired(point)
     return True
 
 
@@ -255,10 +253,3 @@ def hang_seconds() -> float:
     except ValueError:
         return 30.0
 
-
-def _note_fired(point: str) -> None:
-    from repro import obs
-
-    obs.metrics().counter(
-        "repro_faults_injected_total", "injected faults by point",
-        point=point).inc()

@@ -28,8 +28,8 @@ produces mean/CI summaries, per-factor main effects, and pairwise
 effect sizes appended as extra tables.
 
 Telemetry: every executed table emits a ``runtable:<id>`` span per
-repetition plus ``repro_runtable_cells_total`` /
-``repro_runtable_cell_seconds`` metrics, surfaced by ``obs report``.
+repetition (its cell count in the attributes), surfaced by ``obs
+report``.
 """
 
 from __future__ import annotations
@@ -466,24 +466,12 @@ class RunTableExecutor:
                     seed=table.base_seed + rep,
                     metrics=metrics,
                     seconds=cell_seconds))
-                self._note_cell(cell_seconds)
             self._note_rep(rep, len(points),
                            time.perf_counter() - rep_started)
         result.seconds = time.perf_counter() - started
         return result
 
     # -- telemetry ----------------------------------------------------
-
-    def _note_cell(self, seconds: float) -> None:
-        collector = obs.get_collector()
-        if collector is None:
-            return
-        collector.registry.counter(
-            "repro_runtable_cells_total", "run-table cells measured",
-            table=self.table.id).inc()
-        collector.registry.histogram(
-            "repro_runtable_cell_seconds", "run-table cell wall time",
-            table=self.table.id).observe(seconds)
 
     def _note_rep(self, rep: int, cells: int, seconds: float) -> None:
         collector = obs.get_collector()

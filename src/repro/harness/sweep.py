@@ -107,7 +107,7 @@ class SweepExecutor:
             cache.store("predict", key, stats)
         self.engine.note_stage("predict", hit,
                                time.perf_counter() - started,
-                               run.trace.program.name)
+                               workload=run.trace.program.name)
         return stats
 
     def _walk(self, run: SuiteRun, predictor: DeadPredictor,

@@ -25,8 +25,6 @@ from repro.kernels.base import (
     KillColumns,
     PredictionStream,
     StaticCounts,
-    pass_totals,
-    reset_pass_totals,
 )
 from repro.kernels.ref import (
     deadness,
@@ -49,10 +47,8 @@ __all__ = [
     "default_backend_name",
     "fused",
     "kill_distances",
-    "pass_totals",
     "prediction_stream",
     "prediction_stream_for",
-    "reset_pass_totals",
     "static_counts",
     "static_indices",
 ]

@@ -12,12 +12,13 @@ and counters ``int``.  Canonical form is what lets the fused pass and
 the granular walks be compared, and cached results be compared with
 fresh ones, by pickle equality.
 
-Every kernel call is timed once (:func:`timed_pass`): the per-pass wall
-time feeds the module-level accumulator (:func:`pass_totals`, the
-fallback of ``obs.history.kernel_pass_table``) and, when telemetry is
-on, a ``kernel:<pass>`` span plus ``repro_kernel_pass_*`` metrics, so
-fused-pass savings are visible in ``obs report`` / ``obs hotspots``
-next to the stage spans.
+When telemetry is on, every kernel call is recorded once
+(:func:`timed_pass`) as a ``kernel:<pass>`` span carrying its wall time
+and the number of items it walked — the only record of kernel passes:
+``obs report`` / ``obs hotspots`` and the run history's per-pass table
+(``obs.history.kernel_pass_table``) aggregate these spans, so
+fused-pass savings are visible next to the stage spans.  With
+telemetry off a kernel call is not timed at all.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "KillColumns",
     "PredictionStream",
     "StaticCounts",
-    "pass_totals",
-    "reset_pass_totals",
     "timed_pass",
 ]
 
@@ -136,53 +135,23 @@ class PredictionStream:
 # Pass timing
 # ---------------------------------------------------------------------
 
-#: pass name -> {"calls", "items", "seconds"}; per-process accumulator
-#: (always on — one dict update per kernel *call*, never per element).
-_PASS_TOTALS: Dict[str, Dict[str, float]] = {}
-
-
-def pass_totals() -> Dict[str, Dict[str, float]]:
-    """Accumulated per-pass timings since the last reset."""
-    return {name: dict(bucket) for name, bucket in _PASS_TOTALS.items()}
-
-
-def reset_pass_totals() -> None:
-    _PASS_TOTALS.clear()
-
-
-def _record_pass(name: str, items: int, seconds: float) -> None:
-    bucket = _PASS_TOTALS.setdefault(
-        name, {"calls": 0, "items": 0, "seconds": 0.0})
-    bucket["calls"] += 1
-    bucket["items"] += items
-    bucket["seconds"] += seconds
-    collector = obs.get_collector()
-    if collector is None:
-        return
-    collector.tracer.add("kernel:%s" % name, seconds, items=items)
-    collector.registry.counter(
-        "repro_kernel_pass_total", "kernel pass executions",
-        kernel=name).inc()
-    collector.registry.counter(
-        "repro_kernel_pass_items_total",
-        "dynamic items walked by kernel passes",
-        kernel=name).inc(items)
-    collector.registry.histogram(
-        "repro_kernel_pass_seconds", "kernel pass wall time",
-        kernel=name).observe(seconds)
-
-
 def timed_pass(name: str, items: Callable[[object, object], int]):
-    """Decorate a kernel so each call is recorded once as pass *name*;
-    ``items(first_argument, result)`` counts what the call walked."""
+    """Decorate a kernel so each call under telemetry is recorded once
+    as a ``kernel:<name>`` span; ``items(first_argument, result)``
+    counts what the call walked."""
+    span_name = "kernel:%s" % name
 
     def decorate(kernel):
         @functools.wraps(kernel)
         def timed(first, *args, **kwargs):
+            collector = obs.get_collector()
+            if collector is None:
+                return kernel(first, *args, **kwargs)
             started = time.perf_counter()
             result = kernel(first, *args, **kwargs)
-            _record_pass(name, items(first, result),
-                         time.perf_counter() - started)
+            collector.tracer.add(span_name,
+                                 time.perf_counter() - started,
+                                 items=items(first, result))
             return result
 
         return timed

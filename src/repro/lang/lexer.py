@@ -73,7 +73,11 @@ def tokenize(source: str) -> List[Token]:
             append(new(Token, (text if text in KEYWORDS else "ident",
                                text, line)))
         elif group == "num":
-            append(new(Token, ("num", int(text), line)))
+            try:
+                value = int(text)
+            except ValueError:  # beyond Python's int-from-str limit
+                raise CompileError("integer literal too long", line)
+            append(new(Token, ("num", value, line)))
         elif group == "newline" or group == "comment":
             line += text.count("\n")
         elif group == "hex":

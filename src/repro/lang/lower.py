@@ -4,7 +4,12 @@ Straightforward syntax-directed translation with two niceties:
 
 * **Constant folding for free**: expression lowering returns operands,
   and an operation whose inputs are both immediates folds to an
-  immediate instead of emitting an instruction.
+  immediate instead of emitting an instruction.  Folding follows the
+  machine's 32-bit arithmetic: comparisons, ``>>``, ``!``, ``/``,
+  ``%`` and truth tests read their constant operands as signed 32-bit
+  values, as ``slt``, ``srai`` and ``div`` do.  The other operators
+  fold in unbounded integers, whose low 32 bits are what the machine
+  computes; codegen keeps exactly those bits.
 * **Condition lowering**: ``if``/``while`` conditions lower directly to
   conditional branches (including short-circuit ``&&``/``||`` and ``!``)
   rather than materializing 0/1 values.
@@ -21,6 +26,12 @@ from repro.lang import ast_nodes as ast
 from repro.lang import ir
 from repro.lang.errors import CompileError
 
+def _s32(value: int) -> int:
+    """*value* read as a signed 32-bit machine word."""
+    value &= 0xFFFFFFFF
+    return value - 0x100000000 if value & 0x80000000 else value
+
+
 _FOLDABLE = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -29,13 +40,13 @@ _FOLDABLE = {
     "|": lambda a, b: a | b,
     "^": lambda a, b: a ^ b,
     "<<": lambda a, b: a << (b & 31),
-    ">>": lambda a, b: a >> (b & 31),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
+    ">>": lambda a, b: _s32(a) >> (b & 31),
+    "==": lambda a, b: int(_s32(a) == _s32(b)),
+    "!=": lambda a, b: int(_s32(a) != _s32(b)),
+    "<": lambda a, b: int(_s32(a) < _s32(b)),
+    "<=": lambda a, b: int(_s32(a) <= _s32(b)),
+    ">": lambda a, b: int(_s32(a) > _s32(b)),
+    ">=": lambda a, b: int(_s32(a) >= _s32(b)),
 }
 
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=",
@@ -292,7 +303,8 @@ class _FunctionLowering:
             return
         value = self.lower_expr(expr)
         if isinstance(value, int):
-            self.terminate(ir.Jump(target=if_true if value else if_false))
+            self.terminate(ir.Jump(target=if_true if _s32(value)
+                                   else if_false))
             return
         self.terminate(ir.CondBr(op="!=", a=value, b=0, if_true=if_true,
                                  if_false=if_false))
@@ -355,7 +367,7 @@ class _FunctionLowering:
             if expr.op == "-":
                 return -operand
             if expr.op == "!":
-                return int(operand == 0)
+                return int(_s32(operand) == 0)
             return ~operand
         dst = self.function.new_vreg()
         self.emit(ir.UnOp(dst=dst, op=expr.op, a=operand))
@@ -368,6 +380,7 @@ class _FunctionLowering:
         b = self.lower_expr(expr.right)
         if isinstance(a, int) and isinstance(b, int):
             if expr.op in ("/", "%"):
+                a, b = _s32(a), _s32(b)
                 if b == 0:
                     raise CompileError("constant division by zero",
                                        expr.line)

@@ -1,29 +1,26 @@
-"""``repro.obs`` — the in-simulator observability subsystem (ISSUE 3).
+"""``repro.obs`` — the in-simulator observability subsystem.
 
 One process-wide :class:`ObsCollector` (created by :func:`configure_obs`
 or the ``REPRO_OBS=1`` environment) owns everything telemetry-related:
 
-* a :class:`~repro.obs.registry.MetricsRegistry` (counters, gauges,
-  histograms, timers, Prometheus text export);
 * a :class:`~repro.obs.spans.SpanTracer` collecting hierarchical
-  run → experiment → stage/cell spans;
+  run → experiment → stage/kernel spans — the single event record:
+  every stage execution is one ``stage:<stage>`` span and every kernel
+  call one ``kernel:<pass>`` span, and the kernel-pass table of the run
+  history and ``obs report`` is aggregated from those spans;
 * the pipeline timelines sampled by the simulator and the predictor
   probes recorded by the evaluation walk.
 
-The collector is *cross-process* (ISSUE 8): pool workers run under a
-fresh per-task collector and ship a compact delta back with each
-result, which the parent merges with ``worker="<n>"`` labels
-(:mod:`repro.obs.delta`), so the registry and span tree are complete
-under ``--jobs N``.  Per-run timing summaries persist to a checksummed
-run history with regression gates (:mod:`repro.obs.history`), and the
-merged registry is scrapeable live over HTTP while a run executes
-(:mod:`repro.obs.serve`).
+The collector is *cross-process*: pool workers run under a fresh
+per-task collector and ship their spans back with each result, which
+the parent grafts into its tree stamped ``worker="<n>"``
+(:mod:`repro.obs.delta`), so the span record is complete under
+``--jobs N``.  Per-run timing summaries persist to a checksummed run
+history with regression gates (:mod:`repro.obs.history`).
 
 When no collector is configured — the default — every helper in this
-module returns ``None`` or a null object, and the instrumented code
-paths reduce to a single ``is not None`` test: the disabled cost is
-designed to be unmeasurable (<2% on the simulator microbenchmarks;
-``benchmarks/test_perf_simulators.py`` guards it).
+module returns ``None`` and the instrumented code paths reduce to one
+``is None`` test.
 
 See ``docs/observability.md`` for the full telemetry tour and the
 ``obs`` CLI subcommands that render stored artifacts.
@@ -36,11 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.obs.introspect import PredictorProbe, table_health
-from repro.obs.registry import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-    render_prometheus,
-)
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import Timeline
 
@@ -50,7 +42,6 @@ __all__ = [
     "configure_obs",
     "enabled",
     "get_collector",
-    "metrics",
     "new_probe",
     "new_timeline",
     "obs_config_from_env",
@@ -72,15 +63,11 @@ class ObsConfig:
 
 
 def obs_config_from_env() -> Optional[ObsConfig]:
-    """An :class:`ObsConfig` from ``REPRO_OBS`` (None when unset/0)."""
+    """The default :class:`ObsConfig` when ``REPRO_OBS`` is set (None
+    when unset/0)."""
     if os.environ.get("REPRO_OBS", "0") in ("0", ""):
         return None
-    return ObsConfig(
-        enabled=True,
-        sample_interval=int(os.environ.get("REPRO_OBS_INTERVAL", "256")),
-        timeline_capacity=int(os.environ.get("REPRO_OBS_CAPACITY",
-                                             "512")),
-    )
+    return ObsConfig()
 
 
 class ObsCollector:
@@ -88,7 +75,6 @@ class ObsCollector:
 
     def __init__(self, config: ObsConfig):
         self.config = config
-        self.registry = MetricsRegistry(enabled=True)
         self.tracer = SpanTracer()
         self.timelines: List[Dict[str, object]] = []
         self.probes: List[Dict[str, object]] = []
@@ -146,7 +132,6 @@ class ObsCollector:
         emit("predictors.json",
              json.dumps({"probes": self.probes}, indent=2,
                         sort_keys=True) + "\n")
-        emit("metrics.prom", render_prometheus(self.registry))
         return artifacts
 
 
@@ -178,14 +163,6 @@ def get_collector() -> Optional[ObsCollector]:
 
 def enabled() -> bool:
     return _COLLECTOR is not None
-
-
-def metrics() -> MetricsRegistry:
-    """The active registry, or the shared null registry when off."""
-    collector = _COLLECTOR
-    if collector is None:
-        return NULL_REGISTRY
-    return collector.registry
 
 
 def new_timeline() -> Optional[Timeline]:

@@ -1,39 +1,30 @@
 """Cross-process telemetry deltas: worker → parent aggregation.
 
 Pool workers (``repro.harness.engine``) execute cells and timing
-batches in separate processes, so anything they record into *their*
-obs collector — ``kernel:<pass>`` spans, ``repro_kernel_pass_*`` and
-cache/artifact-plane counters — used to die with the worker, and
-``obs report`` under ``--jobs N`` undercounted exactly the runs it
-was meant to explain.
-
-The fix is a compact, picklable **delta** that rides back with each
-pool result:
+batches in separate processes, so the spans they record into *their*
+obs collector (``kernel:<pass>`` above all) would die with the worker.
+A compact, picklable **delta** rides back with each pool result
+instead:
 
 * the worker installs a *fresh* collector per task (never the
-  fork-inherited copy of the parent's, whose accumulated state would
+  fork-inherited copy of the parent's, whose accumulated spans would
   double-count on merge) via :func:`install_worker_collector`;
 * after the task, :func:`snapshot_delta` serializes the collector's
-  registry (raw bucket counts, not cumulative, so histograms merge by
-  addition) and span list into plain data;
-* the parent merges each delta with :func:`merge_delta`, labelling
-  every merged series and span with ``worker="<n>"`` — summing a
-  metric across ``worker`` labels therefore reproduces the serial
-  run's totals by construction (the parity test in
-  ``tests/test_obs_plane.py`` pins this).
+  span list into plain data;
+* the parent merges each delta with :func:`merge_delta`, grafting the
+  worker's spans into its tree stamped ``worker="<n>"`` — counting
+  spans across workers therefore reproduces the serial run's record
+  (the parity test in ``tests/test_obs_plane.py`` pins this).
 
 When telemetry is off the worker is handed ``obs_config=None``, no
 collector is installed, nothing is serialized, and the result payload
-carries no delta at all — the disabled path stays free
-(``tests/test_obs_plane.py`` guards it).
+carries no delta at all (``tests/test_obs_plane.py`` guards it).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
-
-from repro.obs.registry import Histogram, MetricsRegistry
+from typing import Dict, Optional
 
 __all__ = [
     "WIRE_SCHEMA",
@@ -43,8 +34,8 @@ __all__ = [
 ]
 
 #: bump when the delta wire shape changes; a mismatched delta is
-#: dropped on merge instead of corrupting the parent registry
-WIRE_SCHEMA = 1
+#: dropped on merge instead of corrupting the parent's span tree
+WIRE_SCHEMA = 2
 
 
 def install_worker_collector(obs_config) -> None:
@@ -57,89 +48,30 @@ def install_worker_collector(obs_config) -> None:
 
 
 def snapshot_delta() -> Optional[Dict[str, object]]:
-    """The active collector's content as one picklable document
-    (``None`` when telemetry is off — the caller then ships nothing).
-
-    Histograms travel with *raw* per-bucket counts (``Histogram.counts``,
-    overflow last), which merge into the parent by plain addition;
-    counters and gauges travel by value; spans travel serialized with
-    worker-local ids that :meth:`~repro.obs.spans.SpanTracer.merge`
-    remaps on arrival.
-    """
+    """The active collector's spans as one picklable document (``None``
+    when telemetry is off — the caller then ships nothing).  Spans
+    travel serialized with worker-local ids that
+    :meth:`~repro.obs.spans.SpanTracer.merge` remaps on arrival."""
     from repro import obs
 
     collector = obs.get_collector()
     if collector is None:
         return None
-    registry = collector.registry
-    metrics: List[Dict[str, object]] = []
-    for name, labels, metric in registry.items():
-        entry: Dict[str, object] = {
-            "name": name,
-            "kind": metric.kind,
-            "labels": labels,
-            "help": registry.help_for(name),
-        }
-        if isinstance(metric, Histogram):
-            entry["buckets"] = list(metric.buckets)
-            entry["counts"] = list(metric.counts)
-            entry["sum"] = metric.total
-            entry["count"] = metric.count
-        else:
-            entry["value"] = metric.value
-        metrics.append(entry)
     return {
         "schema": WIRE_SCHEMA,
         "pid": os.getpid(),
-        "metrics": metrics,
         "spans": [span.to_dict() for span in collector.tracer.spans],
     }
 
 
-def _merge_metric(registry: MetricsRegistry, entry: Dict[str, object],
-                  labels: Dict[str, str]) -> None:
-    name = str(entry["name"])
-    help_text = str(entry.get("help", ""))
-    kind = entry.get("kind")
-    if kind == "histogram":
-        buckets = tuple(entry.get("buckets") or ())
-        histogram = registry.histogram(name, help_text,
-                                       buckets=buckets or None,
-                                       **labels)
-        if tuple(histogram.buckets) != buckets:
-            # A bucket-layout clash (shouldn't happen between
-            # same-code parent and worker): fold into the existing
-            # layout rather than corrupting it.
-            histogram.observe(float(entry.get("sum", 0.0)))
-            return
-        for index, count in enumerate(entry.get("counts") or ()):
-            histogram.counts[index] += count
-        histogram.total += float(entry.get("sum", 0.0))
-        histogram.count += int(entry.get("count", 0))
-    elif kind == "gauge":
-        # Gauges are point-in-time readings; the freshest wins.
-        registry.gauge(name, help_text, **labels).set(
-            float(entry.get("value", 0.0)))
-    else:
-        registry.counter(name, help_text, **labels).inc(
-            entry.get("value", 0))
-
-
 def merge_delta(collector, delta: Dict[str, object],
                 worker: str) -> None:
-    """Fold one worker delta into *collector*: every metric series
-    gains a ``worker=<label>`` label, and the worker's span forest is
-    grafted under the collector's current span (id-remapped, each span
-    stamped with the worker label).  A delta from a different wire
-    schema is dropped whole."""
+    """Graft one worker delta's span forest under *collector*'s current
+    span (id-remapped, each span stamped with the worker label).  A
+    delta from a different wire schema is dropped whole."""
     if not isinstance(delta, dict) or \
             delta.get("schema") != WIRE_SCHEMA:
         return
-    registry = collector.registry
-    for entry in delta.get("metrics") or ():
-        labels = dict(entry.get("labels") or {})
-        labels["worker"] = worker
-        _merge_metric(registry, entry, labels)
     spans = delta.get("spans") or []
     if spans:
         collector.tracer.merge(spans, worker=worker)

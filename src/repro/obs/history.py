@@ -3,9 +3,11 @@
 Every harness invocation appends one checksummed JSON line to
 ``<cache-dir>/obs-history/history.jsonl``: run id, a config
 fingerprint (experiment set, scale), total wall time,
-per-stage cache totals, per-kernel-pass timing (the uops.info-style
-latency/throughput table, tracked *over time* instead of as a point
-measurement), and the robustness counters.  The record survives the
+per-stage cache totals, per-kernel-pass timing aggregated from the
+run's ``kernel:<pass>`` spans (the uops.info-style latency/throughput
+table, tracked *over time* instead of as a point measurement; only
+observed runs have spans, so only they record passes), and the
+robustness counters.  The record survives the
 process, so perf claims become trajectories:
 
 * ``obs history``  — one line per recorded run;
@@ -14,7 +16,7 @@ process, so perf claims become trajectories:
   earlier same-fingerprint runs (or a committed baseline file via
   ``--against``), exiting non-zero when any tracked metric exceeds
   ``baseline_mean * threshold`` — usable directly as a CI gate
-  (``.github/workflows/ci.yml``, job ``obs-scrape``).
+  (``.github/workflows/ci.yml``, job ``obs-pool``).
 
 Records are self-verifying: the ``checksum`` field is the SHA-256 of
 the record's canonical JSON without it, and :func:`load_history`
@@ -27,7 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.spans import span_totals
 
 __all__ = [
     "RECORD_SCHEMA",
@@ -77,36 +81,14 @@ def fingerprint(record: Dict[str, object]) -> str:
         config.get("scale", 1.0))
 
 
-def kernel_pass_table(collector=None) -> Dict[str, Dict[str, float]]:
-    """Per-pass ``{calls, items, seconds}`` for the finished run.
-
-    With a live collector the table is derived from the merged
-    registry (``repro_kernel_pass_*`` series summed across ``worker``
-    labels — pool workers included); without one it falls back to the
-    in-process accumulator (:func:`repro.kernels.base.pass_totals`),
-    which under ``jobs>1`` only sees parent-side passes.
-    """
-    if collector is None:
-        from repro.kernels.base import pass_totals
-
-        return pass_totals()
-    from repro.obs.registry import Histogram
-
-    table: Dict[str, Dict[str, float]] = {}
-    for name, labels, metric in collector.registry.items():
-        kernel = labels.get("kernel")
-        if not kernel:
-            continue
-        bucket = table.setdefault(
-            kernel, {"calls": 0, "items": 0, "seconds": 0.0})
-        if name == "repro_kernel_pass_total":
-            bucket["calls"] += int(metric.value)
-        elif name == "repro_kernel_pass_items_total":
-            bucket["items"] += int(metric.value)
-        elif name == "repro_kernel_pass_seconds" and \
-                isinstance(metric, Histogram):
-            bucket["seconds"] += metric.total
-    return table
+def kernel_pass_table(spans: Iterable[Dict[str, object]]
+                      ) -> Dict[str, Dict[str, float]]:
+    """Per-pass ``{calls, items, seconds}`` aggregated over the
+    ``kernel:<pass>`` span documents in *spans* (worker-merged spans
+    included): the one derivation behind a history record's
+    ``kernel_passes`` and the kernel table of ``obs report``.  A run
+    without telemetry has no spans, so it records no passes."""
+    return span_totals(spans, "kernel:", "items")
 
 
 def make_record(run_doc: Dict[str, object],

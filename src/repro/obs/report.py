@@ -6,12 +6,11 @@ A run executed with ``--obs`` leaves, next to its metadata document::
     <cache>/runs/obs-<id>/spans.jsonl   # hierarchical span trace
     <cache>/runs/obs-<id>/timelines.json
     <cache>/runs/obs-<id>/predictors.json
-    <cache>/runs/obs-<id>/metrics.prom  # Prometheus text exposition
     <cache>/runs/obs-<id>/profile-<EXP>.pstats   # with --profile
 
 This module resolves run ids (exact, unique prefix, or ``last``),
 loads those artifacts, and renders the ``obs report`` / ``timeline`` /
-``hotspots`` / ``export`` views.
+``hotspots`` views.
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from repro.obs.history import kernel_pass_table
 from repro.obs.introspect import render_hotspots
-from repro.obs.spans import load_spans, render_span_tree
+from repro.obs.spans import load_spans, render_span_tree, span_totals
 from repro.obs.timeline import render_timeline
 
 __all__ = [
@@ -70,7 +70,7 @@ def load_obs(runs_root: str,
     obs_dir = obs_dir_for(runs_root, run_id)
     out: Dict[str, object] = {"dir": obs_dir, "spans": [],
                               "timelines": [], "probes": [],
-                              "metrics": "", "profiles": []}
+                              "profiles": []}
 
     def read(name: str) -> Optional[str]:
         try:
@@ -94,7 +94,6 @@ def load_obs(runs_root: str,
             out["probes"] = json.loads(text).get("probes", [])
         except ValueError:
             pass
-    out["metrics"] = read("metrics.prom") or ""
     if os.path.isdir(obs_dir):
         out["profiles"] = sorted(
             os.path.join(obs_dir, name)
@@ -131,27 +130,20 @@ def render_timelines(obs: Dict[str, object],
 def render_kernel_passes(spans: List[Dict[str, object]]) -> str:
     """Aggregate ``kernel:<pass>`` spans into a per-pass timing table —
     where the trace walks actually spend their time."""
-    merged: Dict[str, List[float]] = {}
-    for span in spans:
-        name = str(span.get("name", ""))
-        if not name.startswith("kernel:"):
-            continue
-        attrs = span.get("attrs") or {}
-        bucket = merged.setdefault(name[len("kernel:"):], [0, 0, 0.0])
-        bucket[0] += 1
-        bucket[1] += int(attrs.get("items", 0) or 0)
-        bucket[2] += float(span.get("seconds", 0.0) or 0.0)
-    if not merged:
+    table = kernel_pass_table(spans)
+    if not table:
         return "no kernel passes recorded"
-    ranked = sorted(merged.items(), key=lambda item: (-item[1][2],
-                                                      item[0]))
     lines = ["%-18s %8s %12s %10s %12s" %
              ("pass", "calls", "items", "seconds", "items/s")]
-    for name, (calls, items, seconds) in ranked:
-        rate = ("%12.0f" % (items / seconds)) if seconds > 0 \
+    for name, bucket in sorted(table.items(),
+                               key=lambda item: (-item[1]["seconds"],
+                                                 item[0])):
+        seconds = bucket["seconds"]
+        rate = ("%12.0f" % (bucket["items"] / seconds)) if seconds > 0 \
             else "%12s" % "-"
         lines.append("%-18s %8d %12d %10.3f %s" %
-                     (name, calls, items, seconds, rate))
+                     (name, bucket["calls"], bucket["items"], seconds,
+                      rate))
     return "\n".join(lines)
 
 
@@ -159,35 +151,25 @@ def render_run_tables(spans: List[Dict[str, object]]) -> str:
     """Aggregate ``runtable:<id>`` spans (one per executed repetition)
     into a per-table summary; empty string when the run executed no
     run tables."""
-    merged: Dict[str, List[float]] = {}
-    for span in spans:
-        name = str(span.get("name", ""))
-        if not name.startswith("runtable:"):
-            continue
-        attrs = span.get("attrs") or {}
-        bucket = merged.setdefault(name[len("runtable:"):],
-                                   [0, 0, 0.0])
-        bucket[0] += 1
-        bucket[1] += int(attrs.get("cells", 0) or 0)
-        bucket[2] += float(span.get("seconds", 0.0) or 0.0)
-    if not merged:
+    table = span_totals(spans, "runtable:", "cells")
+    if not table:
         return ""
-    ranked = sorted(merged.items(), key=lambda item: (-item[1][2],
-                                                      item[0]))
     lines = ["%-6s %6s %8s %10s" % ("table", "reps", "cells",
                                     "seconds")]
-    for name, (reps, cells, seconds) in ranked:
-        lines.append("%-6s %6d %8d %10.3f" % (name, reps, cells,
-                                              seconds))
+    for name, bucket in sorted(table.items(),
+                               key=lambda item: (-item[1]["seconds"],
+                                                 item[0])):
+        lines.append("%-6s %6d %8d %10.3f" % (
+            name, bucket["calls"], bucket["cells"], bucket["seconds"]))
     return "\n".join(lines)
 
 
 def render_robustness(run_doc: Dict[str, object]) -> str:
     """The run's robustness section: retries, pool faults, serial
     degradation, cache store-error/quarantine tallies, artifact-plane
-    attach/store/quarantine counters, injected faults, and cells
-    dropped in partial mode (``Engine.robustness`` via run
-    metadata)."""
+    attach/store/quarantine/fallback counters, injected faults (pool
+    workers' included), and cells dropped in partial mode
+    (``Engine.robustness`` via run metadata)."""
     doc = run_doc.get("robustness")
     if not isinstance(doc, dict):
         return ("no robustness data recorded "
@@ -205,12 +187,14 @@ def render_robustness(run_doc: Dict[str, object]) -> str:
     plane = doc.get("artifacts")
     if isinstance(plane, dict):
         lines.append("artifact plane: attach hits %d, misses %d, "
-                     "stores %d, store errors %d, quarantined %d" % (
+                     "stores %d, store errors %d, quarantined %d, "
+                     "fallbacks %d" % (
                          plane.get("attach_hits", 0),
                          plane.get("attach_misses", 0),
                          plane.get("stores", 0),
                          plane.get("store_errors", 0),
-                         plane.get("quarantined", 0)))
+                         plane.get("quarantined", 0),
+                         plane.get("fallbacks", 0)))
     injected = doc.get("faults_injected") or {}
     if injected:
         lines.append("faults injected: " + ", ".join(

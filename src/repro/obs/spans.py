@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["Span", "SpanTracer", "span_totals"]
 
 #: default for :meth:`SpanTracer.add`'s *parent_id*: "the current
 #: stack top" (``None`` is a meaningful value — a root span).
@@ -160,6 +160,24 @@ class SpanTracer:
             bucket["seconds"] = round(bucket["seconds"] + span.seconds,
                                       6)
         return out
+
+
+def span_totals(spans: Iterable[Dict[str, object]], prefix: str,
+                attr: str) -> Dict[str, Dict[str, float]]:
+    """``{suffix: {"calls", attr, "seconds"}}`` summed over the span
+    documents named ``<prefix><suffix>``, *attr* read from each span's
+    attributes."""
+    table: Dict[str, Dict[str, float]] = {}
+    for span in spans:
+        name = str(span.get("name", ""))
+        if not name.startswith(prefix):
+            continue
+        bucket = table.setdefault(name[len(prefix):],
+                                  {"calls": 0, attr: 0, "seconds": 0.0})
+        bucket["calls"] += 1
+        bucket[attr] += int((span.get("attrs") or {}).get(attr, 0) or 0)
+        bucket["seconds"] += float(span.get("seconds", 0.0) or 0.0)
+    return table
 
 
 def load_spans(jsonl_text: str) -> List[Dict[str, object]]:

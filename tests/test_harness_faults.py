@@ -442,6 +442,38 @@ class TestSupervision:
         assert document["faults_injected"]["worker.crash"] == 1
         assert document["cache"]["quarantined"] == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_quarantines_reach_robustness(self, tmp_path, jobs):
+        """Pool tasks ship their cache counters home: with the plane
+        off, three corrupted trace entries count three quarantines at
+        ``--jobs 2`` as at ``--jobs 1``."""
+        specs = [spec(), spec(workload="sort"), spec(workload="rle")]
+        make_engine(tmp_path, artifacts=False).run_cells(specs)
+        traces = str(tmp_path / "cache" / "stages" / "trace")
+        entries = [os.path.join(directory, name)
+                   for directory, _dirs, names in os.walk(traces)
+                   for name in names]
+        assert len(entries) == 3
+        for path in entries:
+            with open(path, "wb") as stream:
+                stream.write(b"garbage")
+        engine = make_engine(tmp_path, jobs=jobs, artifacts=False)
+        engine.run_cells(specs)
+        assert engine.robustness()["cache"]["quarantined"] == 3
+
+    def test_worker_fault_counts_reach_robustness(self, tmp_path):
+        """Faults fired inside pool tasks are tallied with the
+        parent's: every injected garbage read quarantines one entry."""
+        specs = [spec(), spec(workload="sort"), spec(workload="rle")]
+        make_engine(tmp_path, artifacts=False).run_cells(specs)
+        plan("cache.read.garbage:1")
+        engine = make_engine(tmp_path, jobs=2, artifacts=False)
+        engine.run_cells(specs)
+        document = engine.robustness()
+        assert document["faults_injected"]["cache.read.garbage"] >= 1
+        assert document["faults_injected"]["cache.read.garbage"] == \
+            document["cache"]["quarantined"]
+
 
 # ---------------------------------------------------------------------
 # Concurrent access

@@ -170,9 +170,7 @@ class TestPredictorSweep:
         spans = [span for span in collector.tracer.spans
                  if span.name == "stage:predict"]
         assert len(spans) == len(runs)
-        assert collector.registry.counter(
-            "repro_stage_total", stage="predict",
-            result="miss").value == len(runs)
+        assert not any(span.attrs["hit"] for span in spans)
 
     def test_no_trace_key_walks_uncached(self, executor, runs):
         run = runs[0]

@@ -99,15 +99,26 @@ class TestKernels:
 
 class TestPassTimings:
     def test_totals_accumulate_per_pass(self, traced):
+        """Under telemetry each kernel call is one ``kernel:<pass>``
+        span, and the history's pass table is their aggregation; with
+        telemetry off no pass is recorded anywhere."""
+        from repro import obs
+        from repro.obs.history import kernel_pass_table
+
         trace, analysis = traced
-        kernels.reset_pass_totals()
-        decoded = kernels.decode(trace)
-        kernels.fused(decoded)
-        kernels.prediction_stream(decoded, analysis.dead)
-        totals = kernels.pass_totals()
+        collector = obs.configure_obs(obs.ObsConfig())
+        try:
+            decoded = kernels.decode(trace)
+            kernels.fused(decoded)
+            kernels.prediction_stream(decoded, analysis.dead)
+        finally:
+            obs.reset_obs()
+        totals = kernel_pass_table(span.to_dict()
+                                   for span in collector.tracer.spans)
         assert totals["fused"]["calls"] == 1
         assert totals["fused"]["items"] == len(trace)
         assert totals["fused"]["seconds"] >= 0.0
         assert "prediction-stream" in totals
-        kernels.reset_pass_totals()
-        assert kernels.pass_totals() == {}
+        kernels.fused(kernels.decode(trace))
+        assert len(collector.tracer.spans) == sum(
+            bucket["calls"] for bucket in totals.values())

@@ -165,6 +165,59 @@ def test_o0_and_o2_agree_on_fixture(mini_c_source):
     assert run_source(mini_c_source, 0) == run_source(mini_c_source, 2)
 
 
+#: (left, operator, right) whose constant operands leave the signed
+#: 32-bit range: folding must still compute what the machine does
+_WIDE_FOLDS = [
+    ("65536*65536", ">>", "16"),
+    ("3", "<", "0xDEADBEEF"),
+    ("0xDEADBEEF", "<=", "3"),
+    ("0xFFFFFFFF", ">", "0"),
+    ("0x80000000", ">=", "0"),
+    ("65536*65536", "==", "0"),
+    ("65536*65536", "!=", "0"),
+    ("0xFFFFFFFF", "/", "2"),
+    ("7", "/", "0xFFFFFFFF"),
+    ("0xFFFFFFF9", "%", "4"),
+]
+
+
+@pytest.mark.parametrize("left, op, right", _WIDE_FOLDS)
+def test_folded_binop_matches_machine(left, op, right):
+    """Each folded operation prints what the same operation on
+    variables prints (the machine's signed 32-bit ``slt``, ``srai``,
+    ``div`` and ``rem``)."""
+    folded = run_source("void main() { print((%s) %s (%s)); }"
+                        % (left, op, right))
+    unfolded = run_source("int a; int b; void main() { a = %s; b = %s; "
+                          "print(a %s b); }" % (left, right, op))
+    assert folded == unfolded
+
+
+def test_folded_not_and_truth_test_match_machine():
+    folded = run_source("""
+void main() {
+  print(!(65536*65536));
+  if (65536*65536) { print(1); } else { print(0); }
+  while (65536*65536) { print(2); }
+}
+""")
+    unfolded = run_source("""
+int a;
+void main() {
+  a = 65536*65536;
+  print(!a);
+  if (a) { print(1); } else { print(0); }
+  while (a) { print(2); }
+}
+""")
+    assert folded == unfolded == [1, 0]
+
+
+def test_constant_division_by_wrapped_zero_rejected():
+    with pytest.raises(CompileError, match="division by zero"):
+        compile_to_program("void main() { print(1 / (65536*65536)); }")
+
+
 def test_more_than_four_params_rejected():
     with pytest.raises(CompileError):
         compile_to_program(

@@ -55,6 +55,16 @@ def test_unterminated_block_comment():
         tokenize("a /* never closed")
 
 
+def test_overlong_literal_is_compile_error():
+    """A decimal literal longer than Python converts from text is a
+    CompileError on its line, not a ValueError."""
+    source = "void main() {\n  print(%s);\n}" % ("9" * 5000)
+    with pytest.raises(CompileError) as excinfo:
+        tokenize(source)
+    assert excinfo.value.line == 2
+    assert "too long" in str(excinfo.value)
+
+
 def test_unexpected_character():
     with pytest.raises(CompileError):
         tokenize("a $ b")

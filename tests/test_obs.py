@@ -1,10 +1,9 @@
-"""The observability subsystem: registry, timelines, spans, probes,
-logging, and the ``--obs`` / ``obs`` CLI round trip (ISSUE 3)."""
+"""The observability subsystem: timelines, spans, probes, logging,
+and the ``--obs`` / ``obs`` CLI round trip."""
 
 import json
 import logging
 import os
-import tracemalloc
 
 import pytest
 
@@ -12,12 +11,6 @@ from repro import obs
 from repro.harness.engine import reset_engine
 from repro.obs.introspect import PredictorProbe, table_health
 from repro.obs.logging import _DropNoise, get_logger, parse_level
-from repro.obs.registry import (
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_REGISTRY,
-    render_prometheus,
-)
 from repro.obs.spans import SpanTracer, load_spans, render_span_tree
 from repro.obs.timeline import Timeline
 
@@ -36,87 +29,6 @@ def no_telemetry():
     obs.reset_obs()
     yield
     obs.reset_obs()
-
-
-# ---------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------
-
-
-def test_registry_counter_gauge_histogram():
-    registry = MetricsRegistry()
-    registry.counter("hits", "cache hits").inc()
-    registry.counter("hits").inc(2)
-    registry.gauge("depth").set(7.5)
-    registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
-    registry.histogram("lat").observe(5.0)
-    snap = {entry["name"]: entry
-            for entry in registry.snapshot()["metrics"]}
-    assert snap["hits"]["value"] == 3
-    assert snap["depth"]["value"] == 7.5
-    assert snap["lat"]["count"] == 2
-    assert snap["lat"]["sum"] == pytest.approx(5.05)
-
-
-def test_registry_labels_are_distinct_series():
-    registry = MetricsRegistry()
-    registry.counter("stage", stage="compile").inc()
-    registry.counter("stage", stage="trace").inc(4)
-    # Same labels in any order address the same series.
-    assert registry.counter("stage", stage="compile").value == 1
-    assert registry.counter("stage", stage="trace").value == 4
-
-
-def test_registry_timer_feeds_histogram():
-    registry = MetricsRegistry()
-    with registry.timer("took"):
-        pass
-    entry = registry.snapshot()["metrics"][0]
-    assert entry["count"] == 1
-    assert entry["sum"] >= 0.0
-
-
-def test_render_prometheus_exposition():
-    registry = MetricsRegistry()
-    registry.counter("repro_hits_total", "cache hits",
-                     stage="compile").inc(3)
-    registry.histogram("repro_seconds", buckets=(1.0,)).observe(0.5)
-    text = render_prometheus(registry)
-    assert "# TYPE repro_hits_total counter" in text
-    assert 'repro_hits_total{stage="compile"} 3' in text
-    assert "repro_seconds_bucket" in text
-    assert "repro_seconds_sum" in text
-
-
-def test_disabled_registry_returns_shared_nulls():
-    assert NULL_REGISTRY.counter("anything", label="x") is NULL_COUNTER
-    assert NULL_REGISTRY.gauge("g") is NULL_REGISTRY.histogram("h")
-    # Every null operation is a no-op, including the timer protocol.
-    with NULL_REGISTRY.timer("t"):
-        NULL_COUNTER.inc()
-        NULL_COUNTER.observe(1.0)
-    assert not NULL_REGISTRY.snapshot()["metrics"]
-
-
-def test_disabled_registry_zero_allocation_fast_path():
-    """The disabled path must not accumulate allocations: hot loops
-    hand back the shared singletons and leave nothing behind."""
-    registry = NULL_REGISTRY
-
-    def spin():
-        for _ in range(2000):
-            registry.counter("hot").inc()
-            registry.histogram("lat").observe(0.1)
-
-    spin()  # warm up caches/interning before measuring
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        spin()
-        after, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert after - before == 0
 
 
 # ---------------------------------------------------------------------
@@ -289,8 +201,8 @@ def test_get_logger_is_namespaced():
 
 def test_cli_obs_roundtrip(tmp_path, capsys):
     """One observed harness invocation leaves renderable artifacts:
-    spans, at least one pipeline timeline, predictor hotspots, metrics,
-    and a pstats profile per experiment."""
+    spans, at least one pipeline timeline, predictor hotspots, and a
+    pstats profile per experiment."""
     from repro.harness.cli import main
 
     cache = str(tmp_path / "cache")
@@ -328,13 +240,22 @@ def test_cli_obs_roundtrip(tmp_path, capsys):
         assert "pipeline timelines" in report
         assert "predictor hotspots" in report
         assert "experiment" in report
-
-        assert main(["obs", "export", "last",
-                     "--cache-dir", cache]) == 0
-        assert "# TYPE" in capsys.readouterr().out
+        assert not os.path.exists(os.path.join(obs_dir, "metrics.prom"))
     finally:
         obs.reset_obs()
         reset_engine()
+
+
+@pytest.mark.parametrize("action", ["export", "serve"])
+def test_cli_retired_obs_actions_exit_2(tmp_path, capsys, action):
+    """The metrics exposition and its HTTP server are gone: their
+    ``obs`` actions are argparse errors."""
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["obs", action, "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_obs_report_without_artifacts(tmp_path, capsys):

@@ -1,12 +1,11 @@
-"""The cross-process telemetry plane (ISSUE 8): worker delta
-snapshot/merge, serial-vs-parallel parity, the run-history store and
-its regression gate, the exposition lint, and the /metrics endpoint."""
+"""The cross-process telemetry plane: worker delta snapshot/merge,
+serial-vs-parallel span parity, and the run-history store and its
+regression gate."""
 
 from __future__ import annotations
 
 import json
 import os
-import urllib.request
 
 import pytest
 
@@ -15,12 +14,6 @@ from repro.harness.engine import CellSpec, Engine, EngineConfig
 from repro.lang import CompilerOptions
 from repro.obs import delta as obs_delta
 from repro.obs import history as obs_history
-from repro.obs.registry import (
-    MetricsRegistry,
-    lint_exposition,
-    render_prometheus,
-)
-from repro.obs.serve import CONTENT_TYPE, MetricsServer, stored_provider
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import COLUMNS, Timeline
 
@@ -55,64 +48,54 @@ class TestDelta:
         assert obs_delta.snapshot_delta() is None
 
     def test_roundtrip_labels_series_with_worker(self, telemetry):
-        telemetry.registry.counter("repro_x_total", "xs",
-                                   stage="trace").inc(3)
-        telemetry.registry.gauge("repro_depth", "d").set(7.0)
-        telemetry.registry.histogram(
-            "repro_lat_seconds", "lat", buckets=(1.0,)).observe(0.5)
         with telemetry.tracer.span("task"):
             telemetry.tracer.add("kernel:decode", 0.25, items=10)
         snap = obs_delta.snapshot_delta()
         assert snap["schema"] == obs_delta.WIRE_SCHEMA
         assert snap["pid"] == os.getpid()
+        assert set(snap) == {"schema", "pid", "spans"}
 
         parent = obs.configure_obs(obs.ObsConfig())
         obs_delta.merge_delta(parent, snap, worker="1")
-        series = {(name, tuple(sorted(labels.items()))): metric
-                  for name, labels, metric in parent.registry.items()}
-        counter = series[("repro_x_total",
-                          (("stage", "trace"), ("worker", "1")))]
-        assert counter.value == 3
-        gauge = series[("repro_depth", (("worker", "1"),))]
-        assert gauge.value == 7.0
-        histogram = series[("repro_lat_seconds", (("worker", "1"),))]
-        assert histogram.count == 1
-        assert histogram.total == pytest.approx(0.5)
-        # Spans arrive worker-stamped with parentage intact.
+        # Spans arrive worker-stamped with parentage and attributes
+        # intact.
         merged = {span.name: span for span in parent.tracer.spans}
-        assert merged["kernel:decode"].attrs["worker"] == "1"
+        assert merged["kernel:decode"].attrs == {"items": 10,
+                                                 "worker": "1"}
+        assert merged["kernel:decode"].seconds == pytest.approx(0.25)
         assert merged["kernel:decode"].parent_id == \
             merged["task"].span_id
+        assert merged["task"].attrs["worker"] == "1"
 
     def test_merge_is_additive_across_workers(self, telemetry):
-        telemetry.registry.counter("repro_x_total", "xs").inc(2)
-        telemetry.registry.histogram(
-            "repro_lat_seconds", "lat", buckets=(1.0,)).observe(0.1)
+        telemetry.tracer.add("kernel:decode", 0.1, items=5)
+        telemetry.tracer.add("stage:trace", 0.2, hit=False)
         snap = obs_delta.snapshot_delta()
 
         parent = obs.configure_obs(obs.ObsConfig())
         obs_delta.merge_delta(parent, snap, worker="0")
         obs_delta.merge_delta(parent, snap, worker="0")
         obs_delta.merge_delta(parent, snap, worker="1")
-        by_worker = {labels["worker"]: metric
-                     for name, labels, metric in parent.registry.items()
-                     if name == "repro_x_total"}
-        assert by_worker["0"].value == 4
-        assert by_worker["1"].value == 2
-        counts = sum(metric.count
-                     for name, _labels, metric
-                     in parent.registry.items()
-                     if name == "repro_lat_seconds")
-        assert counts == 3
+        by_worker = {}
+        for span in parent.tracer.spans:
+            key = (span.name, span.attrs["worker"])
+            by_worker[key] = by_worker.get(key, 0) + 1
+        assert by_worker == {("kernel:decode", "0"): 2,
+                             ("stage:trace", "0"): 2,
+                             ("kernel:decode", "1"): 1,
+                             ("stage:trace", "1"): 1}
+        table = obs_history.kernel_pass_table(
+            span.to_dict() for span in parent.tracer.spans)
+        assert table["decode"]["calls"] == 3
+        assert table["decode"]["items"] == 15
 
     def test_schema_mismatch_is_dropped_whole(self, telemetry):
-        telemetry.registry.counter("repro_x_total", "xs").inc()
+        telemetry.tracer.add("kernel:decode", 0.1, items=5)
         snap = obs_delta.snapshot_delta()
         snap["schema"] = obs_delta.WIRE_SCHEMA + 1
 
         parent = obs.configure_obs(obs.ObsConfig())
         obs_delta.merge_delta(parent, snap, worker="0")
-        assert not list(parent.registry.items())
         assert not parent.tracer.spans
 
 
@@ -156,64 +139,66 @@ class TestSpanAttach:
 # ---------------------------------------------------------------------
 
 
-def _merged_totals(registry):
-    """Counter values and histogram observation counts, summed across
-    ``worker`` labels.  Seconds and bucket shapes are timing-dependent
-    and deliberately excluded — parity is about *events*."""
-    totals = {}
-    for name, labels, metric in registry.items():
-        key = (name, tuple(sorted((k, v) for k, v in labels.items()
-                                  if k != "worker")))
-        if metric.kind == "counter":
-            totals[key] = totals.get(key, 0) + metric.value
-        elif metric.kind == "histogram":
-            key = ("count:" + name, key[1])
-            totals[key] = totals.get(key, 0) + metric.count
-    return totals
+def _span_counts(collector):
+    """Per-pass ``kernel:`` span counts and ``items`` sums, and
+    per-``(stage, hit)`` ``stage:`` span counts.  Seconds are
+    timing-dependent and deliberately excluded — parity is about
+    *events*."""
+    passes = {}
+    stages = {}
+    for span in collector.tracer.spans:
+        if span.name.startswith("kernel:"):
+            calls, items = passes.get(span.name, (0, 0))
+            passes[span.name] = (calls + 1,
+                                 items + span.attrs.get("items", 0))
+        elif span.name.startswith("stage:"):
+            key = (span.name, span.attrs["hit"])
+            stages[key] = stages.get(key, 0) + 1
+    return passes, stages
 
 
 class TestWorkerParity:
     def test_pool_metrics_match_serial(self, tmp_path):
-        """A jobs=2 run merges worker deltas such that summing every
-        series across ``worker`` labels reproduces the serial run's
-        totals exactly — the counters pool workers used to drop."""
+        """A jobs=2 run merges worker deltas such that the span record
+        matches the serial run's: the same ``kernel:`` span counts and
+        item sums per pass, and the same ``stage:`` span counts per
+        (stage, hit).  Every span a worker recorded, and every stage
+        span of a cell a worker ran, carries ``worker``."""
         specs = [spec("matmul"), spec("sort"), spec("crc")]
         try:
-            obs.configure_obs(obs.ObsConfig())
+            serial_collector = obs.configure_obs(obs.ObsConfig())
             serial = Engine(EngineConfig(
                 jobs=1, cache=True, cache_dir=str(tmp_path / "serial")))
             serial.run_cells(specs)
-            serial_totals = _merged_totals(
-                obs.get_collector().registry)
 
-            obs.reset_obs()
-            obs.configure_obs(obs.ObsConfig())
+            pooled_collector = obs.configure_obs(obs.ObsConfig())
             pooled = Engine(EngineConfig(
                 jobs=2, cache=True, cache_dir=str(tmp_path / "pool")))
             pooled.run_cells(specs)
-            pooled_registry = obs.get_collector().registry
-            pooled_totals = _merged_totals(pooled_registry)
-
-            assert pooled_totals == serial_totals
-            # The merged registry really does carry worker series for
-            # the pass counters that used to vanish.
-            workers = {labels.get("worker")
-                       for name, labels, _metric
-                       in pooled_registry.items()
-                       if name == "repro_kernel_pass_total"}
-            assert workers - {None}, \
-                "no worker-labeled kernel pass series merged"
-            # ... and worker kernel spans landed in the parent tree.
-            assert any(span.name.startswith("kernel:")
-                       and "worker" in span.attrs
-                       for span in obs.get_collector().tracer.spans)
         finally:
             obs.reset_obs()
 
+        serial_passes, serial_stages = _span_counts(serial_collector)
+        assert serial_passes and serial_stages
+        assert _span_counts(pooled_collector) == \
+            (serial_passes, serial_stages)
+        assert not any("worker" in span.attrs
+                       for span in serial_collector.tracer.spans)
+        # Every kernel pass ran in a worker, and every stage span is
+        # stamped with the worker that computed its cell.
+        assert all("worker" in span.attrs
+                   for span in pooled_collector.tracer.spans)
+        # StageStats and the stage spans are one record.
+        assert serial_stages == {
+            ("stage:" + stage, hit): bucket["hits" if hit else "misses"]
+            for stage, bucket in pooled.stats.counts.items()
+            for hit in (True, False)
+            if bucket["hits" if hit else "misses"]}
+
     def test_disabled_mode_ships_no_delta(self, tmp_path, no_telemetry):
-        """With telemetry off the worker path is exactly the plain
-        payload computation: no collector, no ``obs_delta`` key, no
-        serialization riding the result pipe."""
+        """With telemetry off the worker installs no collector and its
+        payload carries no ``obs_delta`` key — only the task's
+        robustness counters ride along."""
         from repro.harness.engine import _pool_cell_worker
 
         config = EngineConfig(jobs=1, cache=True,
@@ -221,6 +206,8 @@ class TestWorkerParity:
         payload = _pool_cell_worker(spec("crc", scale=0.1), config,
                                     (), None)
         assert "obs_delta" not in payload
+        assert set(payload["counters"]) == {"cache", "artifacts",
+                                            "faults"}
         assert obs.get_collector() is None
 
     def test_worker_collector_does_not_leak(self, tmp_path,
@@ -234,7 +221,7 @@ class TestWorkerParity:
         payload = _pool_cell_worker(spec("crc", scale=0.1), config,
                                     (), obs.ObsConfig())
         assert payload["obs_delta"]["schema"] == obs_delta.WIRE_SCHEMA
-        assert payload["obs_delta"]["metrics"]
+        assert payload["obs_delta"]["spans"]
         assert obs.get_collector() is None
 
 
@@ -324,19 +311,15 @@ class TestHistory:
                                               any_fingerprint=True)
         assert len(everything) == 3
 
-    def test_kernel_pass_table_sums_worker_series(self, telemetry):
-        registry = telemetry.registry
-        for worker in ("0", "1"):
-            registry.counter("repro_kernel_pass_total", "calls",
-                             kernel="decode", worker=worker).inc(2)
-            registry.counter("repro_kernel_pass_items_total", "items",
-                             kernel="decode", worker=worker).inc(500)
-            registry.histogram("repro_kernel_pass_seconds", "s",
-                               kernel="decode", worker=worker).observe(0.25)
-        table = obs_history.kernel_pass_table(telemetry)
-        assert table["decode"]["calls"] == 4
-        assert table["decode"]["items"] == 1000
-        assert table["decode"]["seconds"] == pytest.approx(0.5)
+    def test_kernel_pass_table_sums_worker_series(self):
+        spans = [{"name": "kernel:decode", "seconds": 0.125,
+                  "attrs": {"items": 250, "worker": worker}}
+                 for worker in ("0", "0", "1", "1")]
+        spans.append({"name": "stage:trace", "seconds": 1.0,
+                      "attrs": {"hit": False}})
+        table = obs_history.kernel_pass_table(spans)
+        assert table == {"decode": {"calls": 4, "items": 1000,
+                                    "seconds": pytest.approx(0.5)}}
 
     def test_cli_history_trend_and_regress_gate(self, tmp_path,
                                                 capsys):
@@ -469,175 +452,6 @@ class TestMonotonicSpans:
         record = tracer.add("post-hoc", seconds=3.0)
         assert record.started_at == pytest.approx(500.0 + 8.0 - 3.0)
         assert record.seconds == 3.0
-
-
-# ---------------------------------------------------------------------
-# Exposition lint
-# ---------------------------------------------------------------------
-
-
-class TestExpositionLint:
-    def _populated(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_hits_total", "cache hits",
-                         stage="compile", worker="0").inc(3)
-        registry.gauge("repro_depth", "queue depth").set(2.5)
-        histogram = registry.histogram("repro_lat_seconds", "latency",
-                                       buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(5.0)
-        return registry
-
-    def test_rendered_registry_is_clean(self):
-        assert lint_exposition(render_prometheus(self._populated())) \
-            == []
-
-    def test_escaped_label_values_pass(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_odd_total", "odd labels",
-                         path='a\\b"c\nd').inc()
-        text = render_prometheus(registry)
-        assert '\\\\' in text and '\\"' in text and "\\n" in text
-        assert lint_exposition(text) == []
-
-    def test_unescaped_label_value_is_flagged(self):
-        bad = 'repro_x_total{path="a"b"} 1\n'
-        assert any("label" in problem
-                   for problem in lint_exposition(bad))
-
-    def test_type_after_samples_is_flagged(self):
-        bad = ("repro_x_total 1\n"
-               "# TYPE repro_x_total counter\n")
-        assert any("after its samples" in problem
-                   for problem in lint_exposition(bad))
-
-    def test_histogram_without_inf_is_flagged(self):
-        bad = ("# TYPE repro_lat_seconds histogram\n"
-               'repro_lat_seconds_bucket{le="1.0"} 2\n'
-               "repro_lat_seconds_sum 0.4\n"
-               "repro_lat_seconds_count 2\n")
-        assert any("+Inf" in problem for problem in lint_exposition(bad))
-
-    def test_inconsistent_count_is_flagged(self):
-        bad = ("# TYPE repro_lat_seconds histogram\n"
-               'repro_lat_seconds_bucket{le="1.0"} 2\n'
-               'repro_lat_seconds_bucket{le="+Inf"} 2\n'
-               "repro_lat_seconds_sum 0.4\n"
-               "repro_lat_seconds_count 5\n")
-        assert any("_count" in problem
-                   for problem in lint_exposition(bad))
-
-    def test_noncumulative_buckets_are_flagged(self):
-        bad = ("# TYPE repro_lat_seconds histogram\n"
-               'repro_lat_seconds_bucket{le="0.1"} 5\n'
-               'repro_lat_seconds_bucket{le="+Inf"} 2\n'
-               "repro_lat_seconds_sum 0.4\n"
-               "repro_lat_seconds_count 2\n")
-        assert any("cumulative" in problem
-                   for problem in lint_exposition(bad))
-
-
-# ---------------------------------------------------------------------
-# The /metrics endpoint
-# ---------------------------------------------------------------------
-
-
-def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return (response.status, response.headers.get("Content-Type"),
-                response.read().decode("utf-8"))
-
-
-class TestMetricsServer:
-    def test_scrape_health_and_404(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_hits_total", "hits",
-                         worker="1").inc(7)
-        server = MetricsServer(
-            lambda: render_prometheus(registry),
-            health_provider=lambda: {"run_id": "r-123"})
-        try:
-            host, port = server.start()
-            assert host == "127.0.0.1" and port > 0
-            status, ctype, body = _get(server.url("/metrics"))
-            assert status == 200
-            assert ctype == CONTENT_TYPE
-            assert 'repro_hits_total{worker="1"} 7' in body
-            assert lint_exposition(body) == []
-
-            status, ctype, body = _get(server.url("/healthz"))
-            assert status == 200
-            assert json.loads(body) == {"status": "ok",
-                                        "run_id": "r-123"}
-
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url("/nope"))
-            assert excinfo.value.code == 404
-        finally:
-            server.stop()
-
-    def test_provider_error_is_500_not_crash(self):
-        def explode():
-            raise RuntimeError("mid-run mutation")
-
-        server = MetricsServer(explode)
-        try:
-            server.start()
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url("/metrics"))
-            assert excinfo.value.code == 500
-        finally:
-            server.stop()
-
-    def test_address_before_start_raises(self):
-        server = MetricsServer(lambda: "")
-        with pytest.raises(RuntimeError, match="before start"):
-            server.url()
-        with pytest.raises(RuntimeError, match="requested port 0"):
-            server.address
-
-    def test_double_start_raises(self):
-        server = MetricsServer(lambda: "")
-        try:
-            server.start()
-            with pytest.raises(RuntimeError, match="already running"):
-                server.start()
-        finally:
-            server.stop()
-
-    def test_restart_rebinds_fresh_ephemeral_port(self):
-        """stop() → start() must re-resolve port 0, not advertise (or
-        try to rebind) the previous cycle's ephemeral port; between
-        cycles the server has no address at all."""
-        server = MetricsServer(lambda: "repro_up 1\n")
-        try:
-            host, first_port = server.start()
-            assert first_port > 0
-            server.stop()
-            with pytest.raises(RuntimeError, match="before start"):
-                server.address
-            host, second_port = server.start()
-            assert second_port > 0
-            status, _, body = _get(server.url("/metrics"))
-            assert status == 200 and "repro_up 1" in body
-        finally:
-            server.stop()
-
-    def test_stored_provider_replays_run_artifacts(self, tmp_path):
-        runs_root = str(tmp_path / "runs")
-        os.makedirs(os.path.join(runs_root, "obs-r1"))
-        with open(os.path.join(runs_root, "run-r1.json"),
-                  "w") as stream:
-            json.dump({"run_id": "r1",
-                       "started_at": "2026-08-08T00:00:00",
-                       "obs": {"dir": "obs-r1"}}, stream)
-        exposition = ("# TYPE repro_hits_total counter\n"
-                      "repro_hits_total 4\n")
-        with open(os.path.join(runs_root, "obs-r1", "metrics.prom"),
-                  "w") as stream:
-            stream.write(exposition)
-        assert stored_provider(runs_root, "last")() == exposition
-        assert stored_provider(runs_root, "nope")() == ""
 
 
 # ---------------------------------------------------------------------
