@@ -22,27 +22,28 @@ T1 the machine-configuration table, A1-A6 ablations, E1-E2 extensions.
 
 from repro.harness import faults
 from repro.harness.engine import (
+    CellArtifact,
     CellSpec,
     Engine,
     EngineConfig,
     configure,
     get_engine,
+    suite_runs,
 )
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
     ExperimentResult,
     run_experiment,
 )
-from repro.harness.runs import SuiteRun, suite_runs
 from repro.harness.tables import Table
 
 __all__ = [
     "ALL_EXPERIMENTS",
+    "CellArtifact",
     "CellSpec",
     "Engine",
     "EngineConfig",
     "ExperimentResult",
-    "SuiteRun",
     "Table",
     "configure",
     "faults",

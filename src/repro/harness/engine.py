@@ -20,8 +20,10 @@ code that implements the stage.  Identical inputs therefore always
 reuse the artifact, and *any* relevant change — source, options,
 seed/scale (via the source text), machine config, or the implementing
 code itself — recomputes exactly the invalidated suffix of the graph.
-``predict`` lives in :mod:`repro.harness.sweep`, next to the walks it
-caches; ``paths`` and ``timing`` are :class:`Engine` methods.
+One helper, :func:`_cached`, serves every stage in the parent and in
+pool workers; ``predict`` lives in :mod:`repro.harness.sweep`, next to
+the walk it caches.  A materialized cell is one :class:`CellArtifact`,
+owned by the engine: :meth:`Engine.suite` memoizes cells per engine.
 
 Independent cells fan out across a ``multiprocessing`` pool
 (``jobs > 1``) with deterministic result ordering (input order, not
@@ -40,7 +42,7 @@ exact, and every reconstruction path rebuilds the same objects the
 direct path produces.
 
 The module-level :func:`get_engine` singleton is what the harness
-(``runs.py`` / ``experiments.py`` / ``cli.py`` / benchmarks) uses;
+(:func:`suite_runs`, ``experiments.py``, ``cli.py``, benchmarks) uses;
 tests construct private :class:`Engine` instances around temporary
 cache directories.
 """
@@ -51,8 +53,8 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.analysis import DeadnessAnalysis, analyze_deadness
@@ -71,7 +73,7 @@ from repro.lang import CompilerOptions, compile_source
 from repro.pipeline import MachineConfig
 from repro.pipeline.core import PipelineResult, simulate
 from repro.predictors.dead.paths import PathInfo, compute_paths
-from repro.workloads import get_workload
+from repro.workloads import Workload, get_workload, workload_names
 
 __all__ = [
     "CellArtifact",
@@ -81,6 +83,7 @@ __all__ = [
     "configure",
     "get_engine",
     "reset_engine",
+    "suite_runs",
 ]
 
 #: The emulator step budget is part of the trace key: raising it can
@@ -261,17 +264,46 @@ class CellSpec:
 
 @dataclass
 class CellArtifact:
-    """Everything one cell produced, reconstructed as native objects."""
+    """Everything one cell produced, reconstructed as native objects:
+    the one record of a materialized cell."""
 
     spec: CellSpec
     trace: Trace
     analysis: DeadnessAnalysis
+    #: the program's verified output (what ``Machine.output`` held)
     output: List[object]
     compile_key: str
-    trace_key: str
+    #: the key every downstream stage chains from; ``None`` (a
+    #: hand-built cell) runs ``paths``, ``predict`` and ``timing``
+    #: uncached
+    trace_key: Optional[str]
     analysis_key: str
-    #: per-stage ``{"hit": bool, "seconds": float}``
-    stages: Dict[str, Dict[str, object]] = field(default_factory=dict)
+
+    @property
+    def workload(self) -> Workload:
+        return get_workload(self.spec.workload)
+
+
+def _cached(cache: Optional[CacheDir], stage: str, key: str,
+            accept: Optional[Callable[[object], bool]],
+            compute: Callable[[], object]) -> Tuple[object, bool]:
+    """One cached stage: ``(value, hit)``.  A stored entry that
+    *accept* takes is served; otherwise ``compute()`` runs and its value
+    is stored.  Without a *cache* every call computes; *accept*
+    ``None`` skips the read but still stores."""
+    value = (cache.load(stage, key)
+             if cache is not None and accept is not None else MISS)
+    if value is not MISS and accept(value):
+        return value, True
+    value = compute()
+    if cache is not None:
+        cache.store(stage, key, value)
+    return value, False
+
+
+#: the summary counters an analysis entry stores, in entry order
+_ANALYSIS_COUNTS = ("n_dynamic", "n_eligible", "n_dead", "n_direct",
+                    "n_transitive", "n_dead_stores")
 
 
 def _bools_to_bytes(values: Sequence[bool]) -> bytes:
@@ -349,12 +381,9 @@ def _compute_cell_payload(spec: CellSpec,
                               spec.options.to_key(),
                               stage_salt("compile"))
     started = time.perf_counter()
-    asm = cache.load("compile", compile_key) if cache else MISS
-    hit = isinstance(asm, str)
-    if not hit:
-        asm = compile_source(source, spec.options)
-        if cache:
-            cache.store("compile", compile_key, asm)
+    asm, hit = _cached(cache, "compile", compile_key,
+                       lambda asm: isinstance(asm, str),
+                       lambda: compile_source(source, spec.options))
     stages["compile"] = {"hit": hit,
                          "seconds": time.perf_counter() - started}
 
@@ -386,25 +415,22 @@ def _compute_cell_payload(spec: CellSpec,
             else:
                 bundle.close()
     if not hit:
-        entry = cache.load("trace", trace_key) if cache else MISS
-        hit = (isinstance(entry, dict)
-               and entry.get("output") == expected)
-        if hit:
-            pcs, taken, addrs = (entry["pcs"], entry["taken"],
-                                 entry["addrs"])
-            output = entry["output"]
-        else:
+        def emulate() -> Dict[str, object]:
             machine, trace = run_program(program, max_steps=MAX_STEPS)
             if machine.output != expected:
                 raise AssertionError(
                     "workload %r produced %r, expected %r" % (
                         spec.workload, machine.output, expected))
-            pcs, taken, addrs = trace.pcs, trace.taken, trace.addrs
-            output = machine.output
-            if cache:
-                cache.store("trace", trace_key,
-                            {"pcs": pcs, "taken": taken, "addrs": addrs,
-                             "output": output})
+            return {"pcs": trace.pcs, "taken": trace.taken,
+                    "addrs": trace.addrs, "output": machine.output}
+
+        entry, hit = _cached(
+            cache, "trace", trace_key,
+            lambda entry: (isinstance(entry, dict)
+                           and entry.get("output") == expected),
+            emulate)
+        pcs, taken, addrs, output = (entry["pcs"], entry["taken"],
+                                     entry["addrs"], entry["output"])
         if plane is not None:
             # Backfill the plane so the next attach (this process or
             # any sibling worker) reads the map instead of unpickling.
@@ -432,41 +458,33 @@ def _compute_cell_payload(spec: CellSpec,
             else:
                 a_bundle.close()
     if not hit:
-        entry = cache.load("analysis", analysis_key) if cache else MISS
-        hit = (isinstance(entry, dict)
-               and len(entry.get("dead", b"")) == n
-               and "fused" in entry)
-        if hit:
-            dead_blob, direct_blob = entry["dead"], entry["direct"]
-            counts = entry["counts"]
-            fused_doc = entry["fused"]
-        else:
+        def analyze() -> Dict[str, object]:
+            trace = Trace(program)
             if pcs is None:
                 # Trace came from the plane: hydrate its columns once
                 # for the analysis pass (the static-index column is
                 # read straight off the map).
-                pcs = trace_bundle.ints("pcs")
-                taken = trace_bundle.bools("taken")
-                addrs = trace_bundle.ints("addrs")
-            trace = Trace(program)
-            trace.pcs, trace.taken, trace.addrs = pcs, taken, addrs
+                trace.pcs = trace_bundle.ints("pcs")
+                trace.taken = trace_bundle.bools("taken")
+                trace.addrs = trace_bundle.ints("addrs")
+            else:
+                trace.pcs, trace.taken, trace.addrs = pcs, taken, addrs
             trace.artifact_bundle = trace_bundle
             analysis = analyze_deadness(trace)
-            dead_blob = _bools_to_bytes(analysis.dead)
-            direct_blob = _bools_to_bytes(analysis.direct)
-            counts = {
-                "n_dynamic": analysis.n_dynamic,
-                "n_eligible": analysis.n_eligible,
-                "n_dead": analysis.n_dead,
-                "n_direct": analysis.n_direct,
-                "n_transitive": analysis.n_transitive,
-                "n_dead_stores": analysis.n_dead_stores,
-            }
-            fused_doc = _fused_to_doc(analysis.fused)
-            if cache:
-                cache.store("analysis", analysis_key,
-                            {"dead": dead_blob, "direct": direct_blob,
-                             "counts": counts, "fused": fused_doc})
+            return {"dead": _bools_to_bytes(analysis.dead),
+                    "direct": _bools_to_bytes(analysis.direct),
+                    "counts": {name: getattr(analysis, name)
+                               for name in _ANALYSIS_COUNTS},
+                    "fused": _fused_to_doc(analysis.fused)}
+
+        entry, hit = _cached(
+            cache, "analysis", analysis_key,
+            lambda entry: (isinstance(entry, dict)
+                           and len(entry.get("dead", b"")) == n
+                           and "fused" in entry),
+            analyze)
+        dead_blob, direct_blob = entry["dead"], entry["direct"]
+        counts, fused_doc = entry["counts"], entry["fused"]
         if plane is not None:
             analysis_handle = artifacts.store_analysis_bundle(
                 plane, a_key, n, dead_blob, direct_blob, counts,
@@ -653,8 +671,7 @@ def _payload_to_artifact(spec: CellSpec,
         output=payload["output"],
         compile_key=payload["compile_key"],
         trace_key=payload["trace_key"],
-        analysis_key=payload["analysis_key"],
-        stages=payload["stages"])
+        analysis_key=payload["analysis_key"])
 
 
 def _materialize_payload(spec: CellSpec, payload: Dict[str, object],
@@ -702,6 +719,10 @@ def _variant(machine_config: MachineConfig) -> str:
     return "elim" if machine_config.eliminate else "base"
 
 
+def _is_pipeline_result(value: object) -> bool:
+    return isinstance(value, PipelineResult)
+
+
 def _prefetch_sim_worker(args: Tuple[CellSpec,
                                      Tuple[MachineConfig, ...],
                                      EngineConfig, Tuple[str, ...],
@@ -709,12 +730,12 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
                          ) -> Dict[str, object]:
     """Pool worker: materialize a (hot-cache) cell once, then run one
     timing simulation per machine config in the batch, persisting each
-    and returning all of them for the in-memory memo.  Batching is the
-    point: the cell's trace/analysis attach (or unpickle) once per
-    *batch*, not once per simulation.  Like cell dispatch, the batch
-    runs as one :func:`_worker_task` (the parent's ObsConfig, so
-    timing keys agree): ``{"results": [...], "counters": ...,
-    "obs_delta": ... or absent}``."""
+    and returning ``(key, result)`` pairs for the in-memory memo.
+    Batching is the point: the cell's trace/analysis attach (or
+    unpickle) once per *batch*, not once per simulation.  Like cell
+    dispatch, the batch runs as one :func:`_worker_task` (the parent's
+    ObsConfig, so timing keys agree): ``{"results": [...],
+    "counters": ..., "obs_delta": ... or absent}``."""
     spec, machine_configs, config, injected, obs_config = args
 
     def batch(cache, plane) -> Dict[str, object]:
@@ -722,19 +743,15 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
                                         injected=injected, plane=plane)
         artifact = _materialize_payload(spec, payload, config, cache,
                                         plane)
-        results: List[Tuple[str, PipelineResult, float]] = []
+        results: List[Tuple[str, PipelineResult]] = []
         for machine_config in machine_configs:
             key = _simulate_key(artifact.trace_key, machine_config,
                                 artifact.analysis)
-            started = time.perf_counter()
-            result = cache.load("timing", key) if cache else MISS
-            if not isinstance(result, PipelineResult):
-                result = simulate(artifact.trace, machine_config,
-                                  artifact.analysis)
-                if cache:
-                    cache.store("timing", key, result)
-            results.append((key, result,
-                            time.perf_counter() - started))
+            result, _hit = _cached(
+                cache, "timing", key, _is_pipeline_result,
+                lambda: simulate(artifact.trace, machine_config,
+                                 artifact.analysis))
+            results.append((key, result))
         return {"results": results}
 
     return _worker_task(config, obs_config, batch)
@@ -746,6 +763,9 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
 
 
 def _pool_context():
+    # Resolve REPRO_FAULTS before forking: workers then spend the
+    # parent's shared budgets instead of each reading a plan of its own.
+    faults.active()
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover (non-fork platforms)
@@ -770,6 +790,9 @@ class Engine:
         #: in-memory memo for timing results (tiny objects); serves
         #: repeated simulations and prefetched no-cache results
         self._sim_memo: Dict[str, PipelineResult] = {}
+        #: (scale, options key, workload names) -> cells (:meth:`suite`)
+        self._suites: Dict[Tuple[float, str, Tuple[str, ...]],
+                           List[CellArtifact]] = {}
         #: worker pid -> stable small ordinal for telemetry labels
         #: (``worker="0"``, ``worker="1"``, ... in first-seen order)
         self._worker_ids: Dict[int, str] = {}
@@ -778,6 +801,21 @@ class Engine:
         self._worker_counters: Dict[str, Dict[str, int]] = {}
 
     # -- cells --------------------------------------------------------
+
+    def suite(self, scale: float, options: CompilerOptions,
+              names: Optional[Sequence[str]] = None
+              ) -> List[CellArtifact]:
+        """The cells of the named workloads (default: the curated
+        suite) at *scale* under *options*, memoized per engine."""
+        names = tuple(workload_names() if names is None else names)
+        memo_key = (scale, options.to_key(), names)
+        cells = self._suites.get(memo_key)
+        if cells is None:
+            cells = self.run_cells([CellSpec(workload=name, scale=scale,
+                                             options=options)
+                                    for name in names])
+            self._suites[memo_key] = cells
+        return cells
 
     def run_cells(self, specs: Sequence[CellSpec],
                   partial: Optional[bool] = None) -> List[CellArtifact]:
@@ -809,13 +847,9 @@ class Engine:
                 self.note_stage(stage, info["hit"], info["seconds"],
                                 **attrs)
             self.stats.instructions += payload["n"]
-            materialized.append(self._materialize(spec, payload))
+            materialized.append(_materialize_payload(
+                spec, payload, self.config, self.cache, self.plane))
         return materialized
-
-    def _materialize(self, spec: CellSpec,
-                     payload: Dict[str, object]) -> CellArtifact:
-        return _materialize_payload(spec, payload, self.config,
-                                    self.cache, self.plane)
 
     def _cell_with_retry(self, spec: CellSpec) -> Dict[str, object]:
         """Compute one cell serially, retrying with exponential
@@ -955,14 +989,11 @@ class Engine:
         started = time.perf_counter()
         result = self._sim_memo.get(key)
         hit = result is not None
-        if not hit and self.cache:
-            result = self.cache.load("timing", key)
-            hit = isinstance(result, PipelineResult)
         if not hit:
-            result = simulate(trace, machine_config, analysis)
-            if self.cache:
-                self.cache.store("timing", key, result)
-        self._sim_memo[key] = result
+            result, hit = _cached(
+                self.cache, "timing", key, _is_pipeline_result,
+                lambda: simulate(trace, machine_config, analysis))
+            self._sim_memo[key] = result
         self.note_stage("timing", hit, time.perf_counter() - started,
                         workload=trace.program.name,
                         variant=_variant(machine_config))
@@ -986,14 +1017,12 @@ class Engine:
                 timeline_doc, result.stats.to_dict())
 
     def prefetch_simulations(
-            self, items: Sequence[Tuple["object", MachineConfig]]
+            self, items: Sequence[Tuple[CellArtifact, MachineConfig]]
     ) -> None:
-        """Warm the timing stage for (run, machine-config) pairs in
-        parallel.  *items* pair objects exposing ``.spec``,
-        ``.cache_key`` and ``.analysis`` (:class:`SuiteRun` or
-        :class:`CellArtifact`-shaped) with machine configs.  Purely an
-        accelerator: serial ``simulate`` calls afterwards hit the memo
-        or disk; any prefetch failure silently falls back."""
+        """Warm the timing stage for (cell, machine-config) pairs in
+        parallel.  Purely an accelerator: serial ``simulate`` calls
+        afterwards hit the memo or disk; any prefetch failure silently
+        falls back."""
         if self.config.jobs <= 1:
             return
         #: cell -> (spec, pending machine configs), in first-seen order;
@@ -1001,11 +1030,10 @@ class Engine:
         #: cell once and runs every simulation
         grouped: Dict[str, Tuple[CellSpec, List[MachineConfig]]] = {}
         for run, machine_config in items:
-            trace_key = getattr(run, "cache_key", None) or \
-                getattr(run, "trace_key", None)
-            if trace_key is None:
+            if run.trace_key is None:
                 continue
-            key = _simulate_key(trace_key, machine_config, run.analysis)
+            key = _simulate_key(run.trace_key, machine_config,
+                                run.analysis)
             if key in self._sim_memo:
                 continue
             if self.cache and os.path.exists(
@@ -1035,31 +1063,36 @@ class Engine:
                     self._note_pool_fault()
                     continue
                 self._absorb_worker_result(batch_result)
-                for key, result, _seconds in batch_result["results"]:
-                    self._sim_memo[key] = result
+                self._sim_memo.update(batch_result["results"])
 
     # -- paths stage --------------------------------------------------
 
-    def paths_for(self, run: "object", path_bits: int) -> PathInfo:
-        """Cached future-path precomputation for one suite run (an
-        object with ``.trace``, ``.analysis`` and ``.cache_key``)."""
-        trace_key = getattr(run, "cache_key", None)
-        statics = run.analysis.statics
-        if trace_key is None or self.cache is None:
-            return compute_paths(run.trace, statics,
+    def paths_for(self, run: CellArtifact, path_bits: int) -> PathInfo:
+        """The cached future-path precomputation for one cell (uncached,
+        and no stage event, without a trace key or a cache)."""
+        def compute() -> PathInfo:
+            return compute_paths(run.trace, run.analysis.statics,
                                  path_bits=path_bits)
-        key = stable_hash("paths", trace_key, str(path_bits),
+
+        if run.trace_key is None or self.cache is None:
+            return compute()
+        key = stable_hash("paths", run.trace_key, str(path_bits),
                           stage_salt("paths"))
+        return self.cached_stage(
+            "paths", key, lambda paths: isinstance(paths, PathInfo),
+            compute, workload=run.trace.program.name)
+
+    def cached_stage(self, stage: str, key: str,
+                     accept: Optional[Callable[[object], bool]],
+                     compute: Callable[[], object],
+                     **attrs: object) -> object:
+        """A parent-side stage through :func:`_cached`, accounted by
+        :meth:`note_stage` with its hit and seconds."""
         started = time.perf_counter()
-        cached = self.cache.load("paths", key)
-        hit = isinstance(cached, PathInfo)
-        if not hit:
-            cached = compute_paths(run.trace, statics,
-                                   path_bits=path_bits)
-            self.cache.store("paths", key, cached)
-        self.note_stage("paths", hit, time.perf_counter() - started,
-                        workload=run.trace.program.name)
-        return cached
+        value, hit = _cached(self.cache, stage, key, accept, compute)
+        self.note_stage(stage, hit, time.perf_counter() - started,
+                        **attrs)
+        return value
 
     def note_stage(self, stage: str, hit: bool, seconds: float,
                    **attrs: object) -> None:
@@ -1077,7 +1110,9 @@ class Engine:
     # -- bookkeeping --------------------------------------------------
 
     def clear_memos(self) -> None:
-        """Drop in-memory memoized results (tests bound memory)."""
+        """Drop in-memory memoized cells and results (tests bound
+        memory)."""
+        self._suites.clear()
         self._sim_memo.clear()
         _PROGRAM_MEMO.clear()
 
@@ -1151,3 +1186,12 @@ def reset_engine() -> None:
     """Forget the singleton (next :func:`get_engine` re-reads env)."""
     global _ENGINE
     _ENGINE = None
+
+
+def suite_runs(scale: float = 1.0, opt_level: int = 2,
+               max_hoist: int = 4,
+               scalar_opt: bool = False) -> List[CellArtifact]:
+    """The curated suite's cells through the process-wide engine
+    (:meth:`Engine.suite`)."""
+    return get_engine().suite(scale, CompilerOptions(
+        opt_level=opt_level, max_hoist=max_hoist, scalar_opt=scalar_opt))

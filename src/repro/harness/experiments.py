@@ -5,8 +5,8 @@ default inputs) and returns an :class:`ExperimentResult`.  The tables
 mirror what the paper reports; EXPERIMENTS.md records paper-vs-measured
 for each.
 
-Execution goes through :mod:`repro.harness.engine`: workload artifacts
-come from :func:`~repro.harness.runs.suite_runs` (cached compile /
+Execution goes through :mod:`repro.harness.engine`: workload cells
+come from :func:`~repro.harness.engine.suite_runs` (cached compile /
 trace / analysis stages) and every timing simulation and future-path
 precomputation runs through the engine's cached stages, so a hot-cache
 rerun of any experiment reuses all of its expensive work while
@@ -21,9 +21,9 @@ the canonical table byte-identically to the old hand-written loops.
 Running one of them with ``repetitions > 1`` (``repro table run``)
 re-measures the grid under shifted seeds and appends mean/CI and
 factor-effect tables (:mod:`repro.harness.stats`).  Measurement flows
-through the same engine/sweep primitives as before, so the stage
-cache, artifact plane, ``--jobs`` prefetch pool, and fault supervision
-all apply unchanged.
+through the run-table context into the engine's cached stages, so the
+stage cache, artifact plane, ``--jobs`` prefetch pool, and fault
+supervision all apply unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import compress
 from typing import Callable, Dict, List, Tuple
 
 from repro.analysis import classify_statics, locality_stats
-from repro.harness.runs import suite_runs
+from repro.harness.engine import suite_runs
 from repro.harness.runtable import (
     Factor,
     RunTable,

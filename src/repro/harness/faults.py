@@ -48,20 +48,24 @@ Plans come from the ``REPRO_FAULTS`` environment variable or from
 
 Firing is deterministic — the first *times* arrivals at a point fire,
 later ones pass through — so a faulted run is exactly reproducible.
+A plan's budgets are one run's: they live in shared memory (one
+``RawArray`` and one lock per plan) that forked pool workers inherit,
+and the engine resolves ``REPRO_FAULTS`` in the parent before its
+first fork, so ``point:N`` fires N times per run at any ``--jobs``.
 Worker-level points (``worker.*``, ``artifact.unpicklable``) are
 drawn by the *parent* at dispatch time (:func:`draw_cell_faults`) and
-shipped to workers as task arguments, so their budgets are spent
-exactly once process-wide; cache-level points (``cache.*`` and the
-``artifact.read.*``/``artifact.write.*`` plane points) fire wherever
-the load/store happens (a forked pool worker decrements its own copy
-of the plan).  Every fired fault is tallied (:func:`fired_counts`);
-pool results carry their task's tallies home, and
-``Engine.robustness`` sums them with the parent's, which is how ``obs
-report`` proves a robustness run actually injected something.
+shipped to workers as task arguments; cache-level points (``cache.*``
+and the ``artifact.read.*``/``artifact.write.*`` plane points) fire
+wherever the load/store happens, parent or worker.  Every fired fault
+is tallied (:func:`fired_counts`); pool results carry their task's
+tallies home, and ``Engine.robustness`` sums them with the parent's,
+which is how ``obs report`` proves a robustness run actually injected
+something.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from typing import Dict, Optional, Tuple
 
@@ -107,16 +111,41 @@ class InjectedIOError(OSError):
 
 
 class FaultPlan:
-    """Which fault points fire and how many times each."""
+    """Which fault points fire and how many times each.  The remaining
+    counts live in shared memory, so processes forked after the plan
+    is built spend one budget between them."""
 
     def __init__(self, rules: Optional[Dict[str, int]] = None):
-        for point in (rules or {}):
+        rules = dict(rules or {})
+        for point in rules:
             if point not in FAULT_POINTS:
                 raise ValueError(
                     "unknown fault point %r (registered: %s)"
                     % (point, ", ".join(sorted(FAULT_POINTS))))
-        #: point -> remaining fire count (:data:`UNLIMITED` = forever)
-        self.remaining: Dict[str, int] = dict(rules or {})
+        self._slots = {point: slot for slot, point in enumerate(rules)}
+        self._counts = multiprocessing.RawArray("q", list(rules.values()))
+        self._lock = multiprocessing.Lock()
+
+    @property
+    def remaining(self) -> Dict[str, int]:
+        """point -> remaining fire count (:data:`UNLIMITED` = forever)"""
+        return {point: self._counts[slot]
+                for point, slot in self._slots.items()}
+
+    def spend(self, point: str) -> bool:
+        """Consume one firing of *point*; False once its budget is
+        spent.  A lock that a killed worker left held times out rather
+        than hanging the caller (the fault then does not fire)."""
+        slot = self._slots.get(point)
+        if slot is None or not self._lock.acquire(timeout=1.0):
+            return False
+        try:
+            remaining = self._counts[slot]
+            if remaining > 0:
+                self._counts[slot] = remaining - 1
+            return remaining != 0  # UNLIMITED stays at -1
+        finally:
+            self._lock.release()
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -150,7 +179,7 @@ class FaultPlan:
         return cls(rules)
 
     def __bool__(self) -> bool:
-        return bool(self.remaining)
+        return bool(self._slots)
 
 
 def plan_from_env() -> Optional[FaultPlan]:
@@ -195,7 +224,10 @@ def _current_plan() -> Optional[FaultPlan]:
 
 
 def active() -> bool:
-    """Whether any fault point can still fire in this process."""
+    """Whether any fault point can still fire.  The first call (of
+    this or :func:`should_fire`) reads ``REPRO_FAULTS``; the engine
+    calls this before it forks pool workers, so they share the
+    parent's plan."""
     plan = _current_plan()
     return bool(plan) and any(times != 0
                               for times in plan.remaining.values())
@@ -210,13 +242,8 @@ def should_fire(point: str) -> bool:
     if point not in FAULT_POINTS:
         raise ValueError("unregistered fault point %r" % point)
     plan = _current_plan()
-    if plan is None:
+    if plan is None or not plan.spend(point):
         return False
-    remaining = plan.remaining.get(point, 0)
-    if remaining == 0:
-        return False
-    if remaining != UNLIMITED:
-        plan.remaining[point] = remaining - 1
     _FIRED[point] = _FIRED.get(point, 0) + 1
     return True
 

@@ -7,12 +7,11 @@ the factors (workload, predictor geometry, machine variant, compiler
 aggressiveness, ...), the metrics each cell produces, how to measure
 one cell, and how to fold the measured grid back into the experiment's
 canonical tables.  A :class:`RunTableExecutor` expands the factor
-cross product into cells, runs each cell's ``measure`` through the
-existing engine/sweep machinery (stage cache, artifact plane,
-``--jobs`` prefetch pool, fault supervision, and obs deltas all apply
-unchanged — measurement still flows through
-:class:`~repro.harness.sweep.SweepExecutor` primitives), and collects
-a :class:`RunTableResult`.
+cross product into cells, runs each cell's ``measure`` hook through a
+:class:`RunTableContext`, which calls the context's engine directly
+(stage cache, artifact plane, ``--jobs`` prefetch pool, fault
+supervision, and obs deltas all apply unchanged), and collects a
+:class:`RunTableResult`.
 
 With ``repetitions == 1`` the result feeds only the table's own
 ``summarize`` hook, which is required to rebuild the experiment's
@@ -50,11 +49,10 @@ from typing import (
     Tuple,
 )
 
-from repro import obs
+from repro import kernels, obs
 from repro.harness import stats as statistics
-from repro.harness.engine import CellSpec, Engine, get_engine
-from repro.harness.runs import SuiteRun, suite_runs
-from repro.harness.sweep import SweepExecutor, elim_variant
+from repro.harness import sweep
+from repro.harness.engine import CellArtifact, Engine, get_engine
 from repro.harness.tables import Table
 from repro.lang import CompilerOptions
 from repro.pipeline import MachineConfig
@@ -216,11 +214,12 @@ class CellResult:
 class RunTableContext:
     """Execution context handed to ``measure``/``prefetch`` hooks.
 
-    Wraps the engine and a shared :class:`SweepExecutor` so every cell
-    reuses per-trace derivations (future paths, prediction streams)
-    exactly like the hand-written sweeps did, and resolves workload
-    factor levels — curated suite names and generated ``gen:...``
-    corpus names alike — to engine-cached :class:`SuiteRun` artifacts.
+    Resolves workload factor levels — curated suite names and generated
+    ``gen:...`` corpus names alike — to the cells of its engine
+    (:meth:`~repro.harness.engine.Engine.suite`, memoized per engine),
+    and calls the engine's cached stages for them.  Future paths are
+    memoized per (cell, path_bits) for the table's lifetime, so a sweep
+    hits the paths stage once per trace, not once per sweep point.
     Under repetitions, generated workload names are re-seeded per
     repetition (``rep`` is added to the ``gen:`` seed field); curated
     workloads are deterministic and measure identically every time.
@@ -230,8 +229,9 @@ class RunTableContext:
         self.scale = scale
         self.engine = engine if engine is not None else get_engine()
         self.rep = 0
-        self._sweep = SweepExecutor(self.engine)
-        self._generated: Dict[Tuple[str, str], SuiteRun] = {}
+        #: (trace key or cell identity, path_bits) -> PathInfo; it
+        #: lives as long as the table, which bounds cold peak RSS
+        self._paths: Dict[Tuple[object, int], object] = {}
 
     # -- workload resolution ------------------------------------------
 
@@ -245,78 +245,73 @@ class RunTableContext:
         return name
 
     def suite(self, opt_level: int = 2, max_hoist: int = 4,
-              scalar_opt: bool = False) -> List[SuiteRun]:
-        """The curated suite's runs (engine-cached, process-memoized)."""
-        return suite_runs(self.scale, opt_level=opt_level,
-                          max_hoist=max_hoist, scalar_opt=scalar_opt)
+              scalar_opt: bool = False) -> List[CellArtifact]:
+        """The curated suite's cells."""
+        return self.engine.suite(self.scale, CompilerOptions(
+            opt_level=opt_level, max_hoist=max_hoist,
+            scalar_opt=scalar_opt))
 
     def run_for(self, name: str, opt_level: int = 2, max_hoist: int = 4,
-                scalar_opt: bool = False) -> SuiteRun:
-        """The engine-cached artifact for one workload factor level."""
+                scalar_opt: bool = False) -> CellArtifact:
+        """The cell for one workload factor level."""
         name = self.resolve_name(name)
+        options = CompilerOptions(opt_level=opt_level,
+                                  max_hoist=max_hoist,
+                                  scalar_opt=scalar_opt)
         if generate.is_generated_name(name):
-            options = CompilerOptions(opt_level=opt_level,
-                                      max_hoist=max_hoist,
-                                      scalar_opt=scalar_opt)
-            key = (name, options.to_key())
-            run = self._generated.get(key)
-            if run is None:
-                run = self._materialize(name, options)
-                self._generated[key] = run
-            return run
-        for run in self.suite(opt_level=opt_level, max_hoist=max_hoist,
-                              scalar_opt=scalar_opt):
-            if run.workload.name == name:
+            return self.engine.suite(self.scale, options,
+                                     names=(name,))[0]
+        for run in self.engine.suite(self.scale, options):
+            if run.spec.workload == name:
                 return run
         raise KeyError("workload %r is not in the suite" % name)
 
-    def _materialize(self, name: str,
-                     options: CompilerOptions) -> SuiteRun:
-        from repro.workloads import get_workload
+    # -- per-trace derivations and cached stages ----------------------
 
-        spec = CellSpec(workload=name, scale=self.scale, options=options)
-        artifact = self.engine.run_cells([spec])[0]
-        return SuiteRun(workload=get_workload(artifact.spec.workload),
-                        trace=artifact.trace,
-                        analysis=artifact.analysis,
-                        output=artifact.output,
-                        spec=artifact.spec,
-                        cache_key=artifact.trace_key)
+    def paths_for(self, run: CellArtifact, path_bits: int):
+        key = (run.trace_key or id(run), path_bits)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self.engine.paths_for(run, path_bits)
+            self._paths[key] = paths
+        return paths
 
-    # -- per-trace derivations (shared memo across all cells) ---------
+    def stream_for(self, run: CellArtifact):
+        """The cell's per-PC prediction event stream (kernel-extracted,
+        memoized on the analysis object)."""
+        return kernels.prediction_stream_for(run.analysis)
 
-    def paths_for(self, run: SuiteRun, path_bits: int):
-        return self._sweep.paths_for(run, path_bits)
+    def predict(self, run: CellArtifact, predictor, path_bits: int):
+        return sweep.predict(self.engine, run, predictor, path_bits,
+                             self.paths_for)
 
-    def stream_for(self, run: SuiteRun):
-        return self._sweep.stream_for(run)
+    def simulate(self, run: CellArtifact, config: MachineConfig):
+        return self.engine.simulate(run.trace, config, run.analysis,
+                                    trace_key=run.trace_key)
 
-    def predict(self, run: SuiteRun, predictor, path_bits: int):
-        return self._sweep.predict(run, predictor, path_bits)
-
-    def simulate(self, run: SuiteRun, config: MachineConfig):
-        return self._sweep.simulate(run, config)
-
-    def pair(self, run: SuiteRun, config: MachineConfig,
+    def pair(self, run: CellArtifact, config: MachineConfig,
              elim_overrides: Dict[str, object] = None):
-        return self._sweep.pair(run, config, elim_overrides)
+        """(baseline, elimination) timing results for one cell."""
+        return (self.simulate(run, config),
+                self.simulate(run, sweep.elim_variant(config,
+                                                      elim_overrides)))
 
     # -- parallel warm-up ---------------------------------------------
 
-    def prefetch(self, runs: Sequence[SuiteRun],
+    def prefetch(self, runs: Sequence[CellArtifact],
                  *configs: MachineConfig) -> None:
-        """Warm the engine's timing stage for every (run, config) cell
-        in parallel; purely an accelerator (see ``SweepExecutor``)."""
+        """Warm the engine's timing stage for every (cell, config) pair
+        in parallel; purely an accelerator."""
         self.engine.prefetch_simulations(
             [(run, config) for run in runs for config in configs])
 
-    def prefetch_pairs(self, runs: Sequence[SuiteRun],
+    def prefetch_pairs(self, runs: Sequence[CellArtifact],
                        *configs: MachineConfig,
                        elim_overrides: Dict[str, object] = None) -> None:
         expanded: List[MachineConfig] = []
         for config in configs:
             expanded.append(config)
-            expanded.append(elim_variant(config, elim_overrides))
+            expanded.append(sweep.elim_variant(config, elim_overrides))
         self.prefetch(runs, *expanded)
 
 

@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from repro.harness import faults, runs
+from repro.harness import faults
 from repro.harness.engine import EngineConfig, configure, reset_engine
 from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
 
@@ -39,7 +39,6 @@ def _run_all(cache_dir, jobs=1, cell_timeout=60.0, **extra):
                                     cell_timeout=cell_timeout,
                                     retries=2, retry_backoff=0.0,
                                     **extra))
-    runs.clear_cache()
     outputs = {identifier: run_experiment(identifier,
                                           scale=SCALE).render()
                for identifier in ALL_EXPERIMENTS}
@@ -61,7 +60,6 @@ def baseline(tmp_path_factory):
     _engine, outputs = _run_all(cache_dir)
     yield cache_dir, outputs
     reset_engine()
-    runs.clear_cache()
     faults.reset_faults()
 
 

@@ -7,6 +7,7 @@ trips of every persisted column against fresh in-memory derivation."""
 from __future__ import annotations
 
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -147,7 +148,7 @@ class TestPlane:
     def test_corrupt_file_quarantined(self, tmp_path):
         plane = self._plane(tmp_path)
         handle = plane.store(KEY, "demo", 3, _sample_columns())
-        blob = bytearray(open(handle.path, "rb").read())
+        blob = bytearray(pathlib.Path(handle.path).read_bytes())
         blob[-1] ^= 0x40
         with open(handle.path, "wb") as stream:
             stream.write(bytes(blob))
@@ -193,7 +194,7 @@ class TestPlane:
         stats = plane.stats()
         assert stats["entries"] == 2 and stats["bytes"] > 0
         # Quarantined bundles drop out of the live stats.
-        blob = bytearray(open(plane.entry_path(KEY), "rb").read())
+        blob = bytearray(pathlib.Path(plane.entry_path(KEY)).read_bytes())
         blob[-1] ^= 1
         with open(plane.entry_path(KEY), "wb") as stream:
             stream.write(bytes(blob))
@@ -240,7 +241,7 @@ class TestCacheDirIntegration:
         cache = CacheDir(str(tmp_path))
         plane = ArtifactPlane(str(tmp_path))
         handle = plane.store(KEY, "demo", 3, _sample_columns())
-        blob = bytearray(open(handle.path, "rb").read())
+        blob = bytearray(pathlib.Path(handle.path).read_bytes())
         blob[-1] ^= 1
         with open(handle.path, "wb") as stream:
             stream.write(bytes(blob))

@@ -4,6 +4,7 @@ and serial/parallel equivalence (docs/harness.md)."""
 from __future__ import annotations
 
 import os
+import pathlib
 
 import pytest
 
@@ -120,7 +121,7 @@ class TestStageCache:
         first = engine.run_cells([spec()])[0]
         path = engine.cache.entry_path("trace", first.trace_key)
         assert os.path.exists(path)
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         with open(path, "wb") as stream:  # truncate mid-pickle
             stream.write(blob[: len(blob) // 2])
 
@@ -140,7 +141,7 @@ class TestStageCache:
         engine = make_engine(tmp_path)
         first = engine.run_cells([spec()])[0]
         path = engine.cache.entry_path("trace", first.trace_key)
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         with open(path, "wb") as stream:
             stream.write(blob[: len(blob) // 2])
         repaired = make_engine(tmp_path)
@@ -206,6 +207,38 @@ class TestParallel:
                                      trace_key=artifact.trace_key)
             assert result.stats.committed == len(artifact.trace)
         assert engine.stats.misses("timing") == 0
+
+
+class TestSuite:
+    def test_memoized_per_engine(self, tmp_path):
+        engine = make_engine(tmp_path)
+        cells = engine.suite(0.1, CompilerOptions(), names=("sort",))
+        assert engine.suite(0.1, CompilerOptions(),
+                            names=("sort",)) is cells
+        assert [cell.workload.name for cell in cells] == ["sort"]
+        engine.clear_memos()
+        assert engine.suite(0.1, CompilerOptions(),
+                            names=("sort",)) is not cells
+
+    def test_suite_runs_follow_configure(self, tmp_path):
+        """After ``configure()`` installs an engine on a second cache
+        dir, ``suite_runs`` materializes through that engine, not from
+        the cells of the one it replaced."""
+        from repro.harness import suite_runs
+        from repro.harness.engine import configure, reset_engine
+
+        try:
+            configure(EngineConfig(jobs=1,
+                                   cache_dir=str(tmp_path / "first")))
+            suite_runs(0.1)
+            second = configure(EngineConfig(
+                jobs=1, cache_dir=str(tmp_path / "second")))
+            assert len(suite_runs(0.1)) == 10
+        finally:
+            reset_engine()
+        trace = second.stats.counts["trace"]
+        assert trace["hits"] + trace["misses"] == 10
+        assert list(second.cache.iter_entries())
 
 
 class TestTimingStage:

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pathlib
 import pickle
+import sys
 import time
 
 import pytest
@@ -105,6 +107,40 @@ class TestFaultPlan:
         assert set(drawn) == {"worker.hang", "artifact.unpicklable"}
         assert faults.draw_cell_faults(pool=True) == ()
 
+    def test_forked_processes_spend_one_budget(self):
+        """More forked processes than cores race for one budget of N:
+        exactly N fire between them."""
+        budget = 40
+        installed = plan("cache.read.garbage:%d" % budget)
+        context = multiprocessing.get_context("fork")
+        gate = context.Event()
+        workers = [context.Process(target=_spend_budget,
+                                   args=(gate, budget))
+                   for _ in range(min(len(os.sched_getaffinity(0)), 32)
+                                  + 2)]
+        try:
+            for process in workers:
+                process.start()
+            gate.set()
+            for process in workers:
+                process.join(60)
+                assert not process.is_alive()
+        finally:
+            for process in workers:
+                if process.is_alive():
+                    process.kill()
+                    process.join(5)
+        assert sum(process.exitcode for process in workers) == budget
+        assert installed.remaining == {"cache.read.garbage": 0}
+
+
+def _spend_budget(gate, attempts):
+    """Forked child: try one fault point *attempts* times once *gate*
+    opens; the exit status is how many fired here."""
+    gate.wait(30)
+    sys.exit(sum(faults.should_fire("cache.read.garbage")
+                 for _ in range(attempts)))
+
 
 # ---------------------------------------------------------------------
 # Entry format and quarantine
@@ -149,7 +185,7 @@ class TestEntryIntegrity:
 
     def test_truncated_entry_quarantined(self, tmp_path):
         def mangle(path):
-            blob = open(path, "rb").read()
+            blob = pathlib.Path(path).read_bytes()
             with open(path, "wb") as stream:
                 stream.write(blob[: len(blob) // 2])
 
@@ -164,7 +200,7 @@ class TestEntryIntegrity:
 
     def test_bitflip_entry_quarantined(self, tmp_path):
         def mangle(path):
-            blob = bytearray(open(path, "rb").read())
+            blob = bytearray(pathlib.Path(path).read_bytes())
             blob[-3] ^= 0x01
             with open(path, "wb") as stream:
                 stream.write(bytes(blob))
@@ -474,6 +510,28 @@ class TestSupervision:
         assert document["faults_injected"]["cache.read.garbage"] == \
             document["cache"]["quarantined"]
 
+    def test_env_budget_is_per_run_at_jobs_2(self, tmp_path,
+                                             monkeypatch):
+        """``REPRO_FAULTS=cache.read.garbage:2`` over a warm cache fires
+        twice at ``--jobs 2``: the parent reads the plan before it forks
+        and its workers spend the one shared budget."""
+        from repro.harness.cli import main
+        from repro.harness.engine import peek_engine, reset_engine
+
+        args = ["F1", "--scale", "0.2", "--no-artifacts", "--jobs", "2",
+                "--no-meta", "--no-history",
+                "--cache-dir", str(tmp_path / "cache")]
+        try:
+            assert main(args) == 0
+            monkeypatch.setenv("REPRO_FAULTS", "cache.read.garbage:2")
+            monkeypatch.setattr(faults, "_ENV_CONSULTED", False)
+            assert main(args) == 0
+            document = peek_engine().robustness()
+        finally:
+            reset_engine()
+        assert document["faults_injected"] == {"cache.read.garbage": 2}
+        assert document["cache"]["quarantined"] == 2
+
 
 # ---------------------------------------------------------------------
 # Concurrent access
@@ -524,7 +582,6 @@ class TestConcurrentAccess:
 class TestReportIntegration:
     def test_faulted_cli_run_reports_robustness(self, tmp_path,
                                                 capsys):
-        from repro.harness import runs
         from repro.harness.cli import main
         from repro.harness.engine import reset_engine
 
@@ -532,14 +589,9 @@ class TestReportIntegration:
         base_args = ["F1", "--scale", str(SCALE),
                      "--cache-dir", cache_dir]
         try:
-            # Drop any memoized suite runs another test left behind:
-            # the clean pass must really populate this cache dir, so
-            # the faulted pass reads (and corrupts) real entries.
-            runs.clear_cache()
             assert main(base_args) == 0
             clean = capsys.readouterr().out
 
-            runs.clear_cache()
             plan("cache.read.garbage:2,worker.crash:1")
             assert main(base_args) == 0
             faulted = capsys.readouterr().out
@@ -556,7 +608,6 @@ class TestReportIntegration:
             assert "worker.crash=1" in report
             assert "cache.read.garbage=2" in report
         finally:
-            runs.clear_cache()
             reset_engine()
 
     def test_cli_partial_survives_total_failure(self, tmp_path,
@@ -564,13 +615,11 @@ class TestReportIntegration:
         """Even an experiment whose every cell fails is reported and
         skipped under --partial, not a traceback from its aggregation
         choking on an empty suite."""
-        from repro.harness import runs
         from repro.harness.cli import main
         from repro.harness.engine import reset_engine
 
         cache_dir = str(tmp_path / "clicache")
         try:
-            runs.clear_cache()
             plan("worker.crash:*")
             code = main(["F1", "--scale", str(SCALE), "--partial",
                          "--cache-dir", cache_dir])
@@ -584,7 +633,6 @@ class TestReportIntegration:
             assert "failed experiments (1" in report
             assert "failed cells" in report
         finally:
-            runs.clear_cache()
             reset_engine()
 
     def test_report_on_pre_contract_run(self, tmp_path):

@@ -218,6 +218,35 @@ class TestStatsLayer:
         assert len(multi.tables) > 1
 
 
+class TestPrivateEngine:
+    def test_curated_cells_come_from_the_private_engine(self, tmp_path):
+        """A table over curated workloads on a private engine
+        materializes them there and creates no process-wide engine."""
+        from repro.harness.engine import (
+            Engine,
+            EngineConfig,
+            peek_engine,
+            reset_engine,
+        )
+
+        def measure(ctx, point):
+            run = ctx.run_for(point["workload"].payload)
+            return {"dead": run.analysis.n_dead}
+
+        table = RunTable(
+            id="CUR", title="curated", factors=[
+                Factor("workload", ("sort", "rle"))],
+            metrics=["dead"], measure=measure,
+            summarize=lambda result: None)
+        engine = Engine(EngineConfig(jobs=1,
+                                     cache_dir=str(tmp_path / "cache")))
+        reset_engine()
+        result = RunTableExecutor(table, scale=0.1, engine=engine).run()
+        assert peek_engine() is None
+        assert engine.stats.misses("trace") == 10
+        assert all(cell["dead"] > 0 for cell in result.cells)
+
+
 class TestRegistry:
     def test_rewired_experiments_are_run_tables(self):
         rewired = {"F5", "F6", "F7", "F8", "T1", "A1", "A2", "A3",

@@ -4,6 +4,7 @@ and the ``--obs`` / ``obs`` CLI round trip."""
 import json
 import logging
 import os
+import pathlib
 
 import pytest
 
@@ -217,11 +218,11 @@ def test_cli_obs_roundtrip(tmp_path, capsys):
                     if name.startswith("obs-")]
         assert len(obs_dirs) == 1
         obs_dir = os.path.join(runs_root, obs_dirs[0])
-        timelines = json.load(
-            open(os.path.join(obs_dir, "timelines.json")))["timelines"]
+        timelines = json.loads(pathlib.Path(
+            obs_dir, "timelines.json").read_text())["timelines"]
         assert timelines, "F7 simulations must register timelines"
-        probes = json.load(
-            open(os.path.join(obs_dir, "predictors.json")))["probes"]
+        probes = json.loads(pathlib.Path(
+            obs_dir, "predictors.json").read_text())["probes"]
         assert probes, "F6 evaluations must register probes"
         assert os.path.exists(os.path.join(obs_dir,
                                            "profile-F6.pstats"))
@@ -229,8 +230,8 @@ def test_cli_obs_roundtrip(tmp_path, capsys):
         # The run document carries the obs summary.
         run_files = [name for name in os.listdir(runs_root)
                      if name.startswith("run-")]
-        document = json.load(
-            open(os.path.join(runs_root, run_files[0])))
+        document = json.loads(pathlib.Path(
+            runs_root, run_files[0]).read_text())
         assert document["obs"]["spans"]["experiment"]["count"] == 2
 
         assert main(["obs", "report", "last",
