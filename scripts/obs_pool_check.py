@@ -7,7 +7,7 @@ and with a two-worker pool, each on a fresh cache, and checks:
 1. both runs exit 0, and the pooled run's ``spans.jsonl`` carries
    ``kernel:<pass>`` spans stamped with a ``worker`` attribute — the
    worker deltas reached the parent's span tree;
-2. the two runs' history records agree on every kernel pass's
+2. the two runs' records in the run log agree on every kernel pass's
    ``calls`` and ``items`` (both are aggregated from ``kernel:`` spans,
    so a lost or doubled worker span shows up here);
 3. ``obs regress`` on the pooled run against the committed baseline
@@ -29,8 +29,8 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO, "results", "obs-baseline.jsonl")
-#: must mirror the baseline's config fingerprint (experiments,
-#: scale) — see repro.obs.history.fingerprint
+#: must mirror the baseline's fingerprint (experiments, scale) — see
+#: repro.obs.history.fingerprint
 EXPERIMENTS = ["F7", "F8"]
 SCALE = "0.3"
 THRESHOLD = "50"
@@ -50,19 +50,18 @@ def harness(*argv: str) -> subprocess.CompletedProcess:
 
 
 def observed_run(cache: str, jobs: str):
-    """Run the sweep on *cache*; returns (history record, span docs)."""
+    """Run the sweep on *cache*; returns (run record, span docs)."""
     result = harness(*EXPERIMENTS, "--scale", SCALE, "--jobs", jobs,
                      "--obs", "--cache-dir", cache)
     if result.returncode != 0:
         fail("--jobs %s run exited %d:\n%s%s" % (
             jobs, result.returncode, result.stdout, result.stderr))
-    with open(os.path.join(cache, "obs-history", "history.jsonl")) \
-            as stream:
+    runs_root = os.path.join(cache, "runs")
+    with open(os.path.join(runs_root, "history.jsonl")) as stream:
         records = [json.loads(line) for line in stream if line.strip()]
     if len(records) != 1:
-        fail("--jobs %s: expected one history record, found %d"
+        fail("--jobs %s: expected one run record, found %d"
              % (jobs, len(records)))
-    runs_root = os.path.join(cache, "runs")
     obs_dirs = [name for name in os.listdir(runs_root)
                 if name.startswith("obs-")]
     if len(obs_dirs) != 1:

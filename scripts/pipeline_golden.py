@@ -79,7 +79,7 @@ def record(scale: float) -> Dict[str, Dict[str, object]]:
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--scale", str(scale), "--jobs", "1",
-                             "--no-cache", "--no-meta", "--no-history"])
+                             "--no-cache", "--no-meta"])
     finally:
         engine.simulate = simulate
     if code:

@@ -12,7 +12,7 @@ Execution is delegated to the stage-aware engine
 and timing stages are individually cached on disk (content-addressed,
 ``.repro-cache/``) and independent (workload × config) cells fan out
 across a multiprocessing pool under ``--jobs N``.  Each CLI invocation
-records structured run metadata (:mod:`repro.harness.runmeta`);
+appends one run record to the run log (:mod:`repro.harness.runmeta`);
 ``repro-harness runs`` and ``repro-harness cache`` inspect it.  See
 docs/harness.md for the full guide.
 

@@ -7,7 +7,8 @@ Layout under the cache root (default ``.repro-cache/``)::
         stages/_quarantine/<stage>/...  # corrupt entries, moved aside
         artifacts/<kk>/<key>.cols       # mmap column bundles (tier 2,
         artifacts/_quarantine/...       #   see harness/artifacts.py)
-        runs/run-<id>.json              # structured run metadata
+        runs/history.jsonl              # the run log (runmeta)
+        runs/obs-<id>/                  # one observed run's telemetry
 
 Keys are SHA-256 hex digests computed by :func:`stable_hash` over the
 *content* of every input that can change the artifact: source text,
@@ -438,15 +439,14 @@ class CacheDir:
         return per_stage
 
     def clear(self, runs: bool = False) -> int:
-        """Delete all stage entries (and run metadata when *runs*);
-        returns the number of files removed."""
+        """Delete all stage entries (and, with *runs*, the run log and
+        every run's observability artifacts); returns the number of
+        stage entries removed."""
         import shutil
 
         removed = sum(1 for _ in self.iter_entries())
         shutil.rmtree(self.stages_root, ignore_errors=True)
         shutil.rmtree(self.artifacts_root, ignore_errors=True)
-        if runs and os.path.isdir(self.runs_root):
-            removed += len([name for name in os.listdir(self.runs_root)
-                            if name.endswith(".json")])
+        if runs:
             shutil.rmtree(self.runs_root, ignore_errors=True)
         return removed

@@ -21,15 +21,17 @@ Examples::
     python -m repro.harness obs report last  # render stored telemetry
     python -m repro.harness obs timeline last --label mergesort
     python -m repro.harness obs hotspots last --top 20
-    python -m repro.harness obs history      # per-run timing history
     python -m repro.harness obs trend --pass deadness
     python -m repro.harness obs regress --threshold 2.0  # CI gate
 
-Experiment runs execute through :mod:`repro.harness.engine` (staged
-on-disk cache + optional multiprocessing) and each invocation records
-a structured metadata document (wall time per experiment, per-stage
-cache hits/misses, instruction counts, host info) under
-``<cache-dir>/runs/`` — see :mod:`repro.harness.runmeta`.
+Experiment and run-table runs execute through
+:mod:`repro.harness.engine` (staged on-disk cache + optional
+multiprocessing) and each invocation appends one record (wall time per
+experiment, per-stage cache hits/misses, instruction counts, host
+info, kernel-pass timing) to the run log
+``<cache-dir>/runs/history.jsonl`` — see :mod:`repro.harness.runmeta`.
+``runs``, ``obs report``, ``obs trend`` and ``obs regress`` all read
+that log.
 
 With ``--obs`` (or ``REPRO_OBS=1``) the run additionally collects
 telemetry — hierarchical spans, pipeline occupancy timelines, predictor
@@ -42,16 +44,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.harness.engine import (EngineConfig, cache_dir_from_env,
                                   config_from_env, configure)
 from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
-from repro.obs.logging import setup_logging
 
 
 def _positive_float(name: str, zero: bool = False):
@@ -135,11 +137,116 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                         artifacts=not args.no_artifacts)
 
 
+class _RunSession:
+    """One CLI run that executes experiments or run tables.
+
+    Sets up the engine and telemetry, opens the ``run`` span
+    (``with session:``), times each unit under its ``experiment`` span
+    with its stage delta (:meth:`measure`), and :meth:`finish` stores
+    the observability artifacts and appends the run's one record to
+    the run log (:mod:`repro.harness.runmeta`)."""
+
+    def __init__(self, args: argparse.Namespace, argv: List[str],
+                 observe: bool, repetitions: Optional[int] = None):
+        from repro import obs as obslib
+        from repro.harness.cachedir import CacheDir
+        from repro.harness.runmeta import RunRecorder
+        from repro.obs.report import obs_dir_for
+
+        self.args = args
+        self.engine = configure(_engine_config(args))
+        obs_config = obslib.obs_config_from_env()
+        if observe and obs_config is None:
+            obs_config = obslib.ObsConfig()
+        self.collector = obslib.configure_obs(obs_config)
+        self.recorder = RunRecorder(argv=argv,
+                                    engine_info=self.engine.describe(),
+                                    scale=args.scale,
+                                    repetitions=repetitions)
+        self.obs_dir = obs_dir_for(CacheDir(args.cache_dir).runs_root,
+                                   self.recorder.run_id)
+        self._stack = contextlib.ExitStack()
+
+    def __enter__(self) -> "_RunSession":
+        if self.collector is not None:
+            self._stack.enter_context(self.collector.tracer.span(
+                "run", run_id=self.recorder.run_id,
+                scale=self.args.scale))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stack.close()
+
+    def measure(self, identifier: str, work: Callable[[], object],
+                profile: bool = False):
+        """``(work(), wall seconds, stage note)`` for one experiment or
+        table, recorded with its stage delta; with *profile*, its
+        cProfile pstats land in the run's observability directory."""
+        snapshot = self.engine.stats.snapshot()
+        started = time.time()
+        with contextlib.ExitStack() as stack:
+            if self.collector is not None:
+                stack.enter_context(self.collector.tracer.span(
+                    "experiment", id=identifier))
+                if profile:
+                    from repro.obs.profiling import profile_into
+
+                    os.makedirs(self.obs_dir, exist_ok=True)
+                    stack.enter_context(profile_into(os.path.join(
+                        self.obs_dir, "profile-%s.pstats" % identifier)))
+            value = work()
+        wall = time.time() - started
+        stage_delta, instructions = \
+            self.engine.stats.delta_since(snapshot)
+        self.recorder.record(identifier, wall, stage_delta, instructions)
+        return value, wall, _stage_note(stage_delta)
+
+    def finish(self, notice: Callable[[str], None] = print,
+               failed_experiments: Sequence[Dict[str, str]] = ()
+               ) -> None:
+        """Store the telemetry, then append the run record (unless
+        ``--no-meta``)."""
+        from repro.obs.history import kernel_pass_table
+
+        recorder = self.recorder
+        if self.collector is not None:
+            recorder.kernel_passes = kernel_pass_table(
+                span.to_dict() for span in self.collector.tracer.spans)
+            try:
+                artifacts = self.collector.write(self.obs_dir)
+            except OSError as error:
+                print("could not store observability artifacts: %s"
+                      % error, file=sys.stderr)
+            else:
+                recorder.obs = {"artifacts": sorted(artifacts)}
+                notice("stored observability artifacts: %s (render with "
+                       "`repro-harness obs report %s`)"
+                       % (self.obs_dir, recorder.run_id))
+        recorder.robustness = self.engine.robustness()
+        if failed_experiments:
+            recorder.robustness["failed_experiments"] = \
+                list(failed_experiments)
+        for record in recorder.robustness.get("failed_cells") or []:
+            print("partial: cell %s failed after retries: %s" %
+                  (record.get("cell"), record.get("error")),
+                  file=sys.stderr)
+        if self.args.no_meta:
+            return
+        try:
+            path = recorder.write(self.args.cache_dir)
+        except OSError as error:
+            print("could not record run metadata: %s" % error,
+                  file=sys.stderr)
+        else:
+            notice("recorded run metadata: %s (run %s)"
+                   % (path, recorder.run_id))
+
+
 def _experiments_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-harness",
         description="Regenerate the paper's figures and tables "
-                    "(subcommands: 'runs' lists recorded run metadata, "
+                    "(subcommands: 'runs' lists recorded runs, "
                     "'cache' manages the stage cache).")
     parser.add_argument("experiments", nargs="*",
                         metavar="ID",
@@ -152,20 +259,14 @@ def _experiments_main(argv: List[str]) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also dump every experiment's raw data to "
                              "a JSON file")
-    parser.add_argument("--no-meta", action="store_true",
-                        help="do not record run metadata under "
-                             "<cache-dir>/runs/")
-    parser.add_argument("--obs", action="store_true",
-                        help="collect telemetry (spans, pipeline "
-                             "timelines, predictor introspection) under "
-                             "<cache-dir>/runs/obs-<id>/; also enabled "
-                             "by REPRO_OBS=1")
+    _add_record_arguments(parser)
     parser.add_argument("--profile", action="store_true",
                         help="store a cProfile pstats file per "
                              "experiment (implies --obs)")
+    # A hidden synonym of --no-meta: benchmarks/e2e/run.py
+    # --regen-fixtures still passes it.
     parser.add_argument("--no-history", action="store_true",
-                        help="do not append this run to the timing "
-                             "history under <cache-dir>/obs-history/")
+                        dest="no_meta", help=argparse.SUPPRESS)
     _add_engine_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -183,51 +284,22 @@ def _experiments_main(argv: List[str]) -> int:
                      % (", ".join(unknown), ", ".join(ALL_EXPERIMENTS),
                         hint))
 
-    engine = configure(_engine_config(args))
-
-    from repro import obs as obslib
-    from repro.harness.cachedir import CacheDir
-    from repro.harness.runmeta import RunRecorder
-
-    obs_config = obslib.obs_config_from_env()
-    if (args.obs or args.profile) and obs_config is None:
-        obs_config = obslib.ObsConfig()
-    collector = obslib.configure_obs(obs_config)
-
-    recorder = RunRecorder(argv=list(argv),
-                           engine_info=engine.describe())
-    runs_root = CacheDir(args.cache_dir).runs_root
-    obs_dir = os.path.join(runs_root, "obs-%s" % recorder.run_id)
-
+    session = _RunSession(args, list(argv),
+                          observe=args.obs or args.profile)
     dumps = {}
     failed_experiments = []
-    with contextlib.ExitStack() as run_stack:
-        if collector is not None:
-            run_stack.enter_context(collector.tracer.span(
-                "run", run_id=recorder.run_id, scale=args.scale))
+    with session:
         for identifier in ids:
-            snapshot = engine.stats.snapshot()
-            started = time.time()
             try:
-                with contextlib.ExitStack() as stack:
-                    if collector is not None:
-                        stack.enter_context(collector.tracer.span(
-                            "experiment", id=identifier))
-                        if args.profile:
-                            from repro.obs.profiling import profile_into
-
-                            os.makedirs(obs_dir, exist_ok=True)
-                            stack.enter_context(profile_into(
-                                os.path.join(
-                                    obs_dir,
-                                    "profile-%s.pstats" % identifier)))
-                    result = run_experiment(identifier,
-                                            scale=args.scale)
+                result, wall, note = session.measure(
+                    identifier, functools.partial(
+                        run_experiment, identifier, scale=args.scale),
+                    profile=args.profile)
             except Exception as error:
                 # Partial mode keeps its promise one level up too: an
                 # experiment whose cells all failed cannot aggregate,
                 # so report it and move on to the survivors.
-                if not engine.config.partial:
+                if not session.engine.config.partial:
                     raise
                 failed_experiments.append({
                     "id": identifier,
@@ -237,14 +309,8 @@ def _experiments_main(argv: List[str]) -> int:
                     identifier, type(error).__name__, error),
                     file=sys.stderr)
                 continue
-            wall = time.time() - started
-            stage_delta, instructions = \
-                engine.stats.delta_since(snapshot)
-            recorder.record(identifier, wall, stage_delta,
-                            instructions)
             print(result.render())
-            print("[%s finished in %.1fs%s]" % (
-                identifier, wall, _stage_note(stage_delta)))
+            print("[%s finished in %.1fs%s]" % (identifier, wall, note))
             print()
             if args.json:
                 dumps[identifier] = {
@@ -261,58 +327,19 @@ def _experiments_main(argv: List[str]) -> int:
             json.dump({"scale": args.scale, "experiments": dumps},
                       stream, indent=2)
         print("wrote %s" % args.json)
-    if collector is not None:
-        try:
-            artifacts = collector.write(obs_dir)
-        except OSError as error:
-            print("could not store observability artifacts: %s"
-                  % error, file=sys.stderr)
-        else:
-            recorder.obs = {
-                "dir": os.path.abspath(obs_dir),
-                "spans": collector.tracer.summary(),
-                "artifacts": sorted(artifacts),
-            }
-            print("stored observability artifacts: %s (render with "
-                  "`repro-harness obs report %s`)"
-                  % (obs_dir, recorder.run_id))
-    recorder.robustness = engine.robustness()
-    if failed_experiments:
-        recorder.robustness["failed_experiments"] = failed_experiments
-    failed = (recorder.robustness or {}).get("failed_cells") or []
-    for record in failed:
-        print("partial: cell %s failed after retries: %s" %
-              (record.get("cell"), record.get("error")),
-              file=sys.stderr)
-    if not (args.no_meta or args.no_history):
-        from repro.obs import history as obs_history
-
-        try:
-            spans = ([span.to_dict() for span in collector.tracer.spans]
-                     if collector is not None else [])
-            record = obs_history.make_record(
-                recorder.document(),
-                obs_history.kernel_pass_table(spans),
-                scale=args.scale)
-            history_file = obs_history.append_record(args.cache_dir,
-                                                     record)
-        except OSError as error:
-            print("could not append run history: %s" % error,
-                  file=sys.stderr)
-        else:
-            recorder.history = {
-                "path": os.path.abspath(history_file),
-                "checksum": record["checksum"],
-            }
-    if not args.no_meta:
-        try:
-            path = recorder.write(runs_root)
-        except OSError as error:
-            print("could not record run metadata: %s" % error,
-                  file=sys.stderr)
-        else:
-            print("recorded run metadata: %s" % path)
+    session.finish(failed_experiments=failed_experiments)
     return 1 if failed_experiments else 0
+
+
+def _add_record_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--no-meta", action="store_true",
+                        help="do not append this run's record to "
+                             "<cache-dir>/runs/history.jsonl")
+    parser.add_argument("--obs", action="store_true",
+                        help="collect telemetry (spans, pipeline "
+                             "timelines, predictor introspection) under "
+                             "<cache-dir>/runs/obs-<id>/; also enabled "
+                             "by REPRO_OBS=1")
 
 
 def _stage_note(stage_delta) -> str:
@@ -394,14 +421,7 @@ def _table_main(argv: List[str]) -> int:
     parser.add_argument("--csv", metavar="PATH",
                         help="run: also dump one table's cells to a "
                              "CSV file (exactly one ID)")
-    parser.add_argument("--no-meta", action="store_true",
-                        help="do not record run metadata under "
-                             "<cache-dir>/runs/")
-    parser.add_argument("--obs", action="store_true",
-                        help="collect telemetry (runtable:<id> and "
-                             "stage spans) under "
-                             "<cache-dir>/runs/obs-<id>/; also "
-                             "enabled by REPRO_OBS=1")
+    _add_record_arguments(parser)
     _add_engine_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -430,21 +450,8 @@ def _table_main(argv: List[str]) -> int:
             _print_table_spec(RUN_TABLES[identifier])
         return 0
 
-    engine = configure(_engine_config(args))
-
-    from repro import obs as obslib
-    from repro.harness.cachedir import CacheDir
-    from repro.harness.runmeta import RunRecorder
-
-    obs_config = obslib.obs_config_from_env()
-    if args.obs and obs_config is None:
-        obs_config = obslib.ObsConfig()
-    collector = obslib.configure_obs(obs_config)
-
-    recorder = RunRecorder(argv=["table"] + list(argv),
-                           engine_info=engine.describe())
-    runs_root = CacheDir(args.cache_dir).runs_root
-    obs_dir = os.path.join(runs_root, "obs-%s" % recorder.run_id)
+    session = _RunSession(args, ["table"] + list(argv),
+                          observe=args.obs, repetitions=args.reps)
     # Exporting to stdout keeps it machine-readable; bookkeeping
     # notices go to stderr there.
     quiet = args.action == "export" and not args.output
@@ -454,39 +461,26 @@ def _table_main(argv: List[str]) -> int:
 
     documents = {}
     csv_text = ""
-    with contextlib.ExitStack() as run_stack:
-        if collector is not None:
-            run_stack.enter_context(collector.tracer.span(
-                "run", run_id=recorder.run_id, scale=args.scale))
+    with session:
         for identifier in ids:
             table = RUN_TABLES[identifier]
-            snapshot = engine.stats.snapshot()
-            started = time.time()
-            with contextlib.ExitStack() as stack:
-                if collector is not None:
-                    stack.enter_context(collector.tracer.span(
-                        "experiment", id=identifier))
-                result = RunTableExecutor(
-                    table, scale=args.scale, repetitions=args.reps,
-                    engine=engine).run()
+            executor = RunTableExecutor(
+                table, scale=args.scale, repetitions=args.reps,
+                engine=session.engine)
+            result, wall, note = session.measure(identifier,
+                                                 executor.run)
             experiment = table.summarize(result)
             if args.reps > 1:
                 experiment.tables.extend(
                     stats_tables(result, args.confidence))
-            wall = time.time() - started
-            stage_delta, instructions = \
-                engine.stats.delta_since(snapshot)
-            recorder.record(identifier, wall, stage_delta,
-                            instructions)
-            recorder.record_table(identifier, cells=table.n_cells(),
-                                  repetitions=args.reps,
-                                  seconds=result.seconds)
+            session.recorder.record_table(
+                identifier, cells=table.n_cells(),
+                repetitions=args.reps, seconds=result.seconds)
             if args.action == "run":
                 print(experiment.render())
                 print("[%s: %d cells x %d repetition%s in %.1fs%s]" % (
                     identifier, table.n_cells(), args.reps,
-                    "" if args.reps == 1 else "s", wall,
-                    _stage_note(stage_delta)))
+                    "" if args.reps == 1 else "s", wall, note))
                 print()
             documents[identifier] = result.to_dict(args.confidence)
             if csv_requested:
@@ -515,31 +509,7 @@ def _table_main(argv: List[str]) -> int:
             with open(args.csv, "w") as stream:
                 stream.write(csv_text)
             print("wrote %s" % args.csv)
-
-    if collector is not None:
-        try:
-            artifacts = collector.write(obs_dir)
-        except OSError as error:
-            print("could not store observability artifacts: %s"
-                  % error, file=sys.stderr)
-        else:
-            recorder.obs = {
-                "dir": os.path.abspath(obs_dir),
-                "spans": collector.tracer.summary(),
-                "artifacts": sorted(artifacts),
-            }
-            notice("stored observability artifacts: %s (render with "
-                   "`repro-harness obs report %s`)"
-                   % (obs_dir, recorder.run_id))
-    recorder.robustness = engine.robustness()
-    if not args.no_meta:
-        try:
-            path = recorder.write(runs_root)
-        except OSError as error:
-            print("could not record run metadata: %s" % error,
-                  file=sys.stderr)
-        else:
-            notice("recorded run metadata: %s" % path)
+    session.finish(notice)
     return 0
 
 
@@ -557,19 +527,18 @@ def _print_table_spec(table) -> None:
 def _runs_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-harness runs",
-        description="Summarize recorded run metadata.")
+        description="Summarize the recorded runs.")
     parser.add_argument("--last", type=_positive_int("last"), metavar="N",
                         help="only the N most recent runs")
     parser.add_argument("--json", action="store_true",
-                        help="print the raw documents as JSON")
+                        help="print the raw records as JSON")
     parser.add_argument("--cache-dir", default=cache_dir_from_env(),
                         metavar="DIR", help="cache root")
     args = parser.parse_args(argv)
 
-    from repro.harness.cachedir import CacheDir
-    from repro.harness.runmeta import load_runs, summarize_runs
+    from repro.harness.runmeta import summarize_runs
 
-    documents = load_runs(CacheDir(args.cache_dir).runs_root)
+    documents, _ = _load_runs(args.cache_dir)
     if args.last is not None:
         documents = documents[-args.last:]
     if args.json:
@@ -582,6 +551,20 @@ def _runs_main(argv: List[str]) -> int:
     return 0
 
 
+def _load_runs(cache_dir: str):
+    """``(records, path)``: every verified record of the run log under
+    *cache_dir*, oldest first; corrupt lines are counted on stderr."""
+    from repro.obs.history import history_path, load_history
+
+    path = history_path(cache_dir)
+    records, skipped = load_history(path)
+    if skipped:
+        print("warning: skipped %d corrupt line%s in %s" %
+              (skipped, "" if skipped == 1 else "s", path),
+              file=sys.stderr)
+    return records, path
+
+
 def _cache_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-harness cache",
@@ -591,8 +574,8 @@ def _cache_main(argv: List[str]) -> int:
                     "evicts oldest entries to fit the bound).")
     parser.add_argument("action", choices=("stats", "clear", "gc"))
     parser.add_argument("--runs", action="store_true",
-                        help="with 'clear': also delete recorded run "
-                             "metadata")
+                        help="with 'clear': also delete the run log "
+                             "and every run's telemetry")
     parser.add_argument("--max-bytes",
                         type=_positive_int("max-bytes", zero=True),
                         default=None, metavar="N",
@@ -642,9 +625,13 @@ def _cache_main(argv: List[str]) -> int:
                   "y" if report["evicted"] == 1 else "ies",
                   report["remaining_bytes"] / 1024.0))
     else:
+        records = len(_load_runs(args.cache_dir)[0]) if args.runs else 0
         removed = cache.clear(runs=args.runs)
         print("removed %d cache entr%s from %s" %
               (removed, "y" if removed == 1 else "ies", cache.root))
+        if args.runs:
+            print("removed %d run record%s"
+                  % (records, "" if records == 1 else "s"))
     return 0
 
 
@@ -654,13 +641,13 @@ def _obs_main(argv: List[str]) -> int:
         description="Render stored observability artifacts: 'report' "
                     "(spans + timelines + hotspots), 'timeline' "
                     "(pipeline occupancy charts), 'hotspots' (top "
-                    "mispredicted PCs), 'history'/'trend' (the "
-                    "persistent run-history log), 'regress' (latest "
-                    "run vs rolling baseline; non-zero exit on "
-                    "regression — a CI gate).")
+                    "mispredicted PCs), 'trend' (kernel-pass seconds "
+                    "across recorded runs), 'regress' (latest run vs "
+                    "rolling baseline; non-zero exit on regression — "
+                    "a CI gate).")
     parser.add_argument("action",
                         choices=("report", "timeline", "hotspots",
-                                 "history", "trend", "regress"))
+                                 "trend", "regress"))
     parser.add_argument("run", nargs="?", default="last",
                         metavar="RUN",
                         help="run id, unique prefix, or 'last' "
@@ -676,11 +663,8 @@ def _obs_main(argv: List[str]) -> int:
                              "instead of rendering")
     parser.add_argument("--cache-dir", default=cache_dir_from_env(),
                         metavar="DIR", help="cache root")
-    parser.add_argument("--history", metavar="PATH", dest="history",
-                        help="history file (default: "
-                             "<cache-dir>/obs-history/history.jsonl)")
     parser.add_argument("--last", type=_positive_int("last"), metavar="N",
-                        help="history/trend: only the newest N runs")
+                        help="trend: only the newest N runs")
     parser.add_argument("--pass", action="append", dest="pass_filters",
                         metavar="NAME",
                         help="trend: only kernel passes whose name "
@@ -695,12 +679,8 @@ def _obs_main(argv: List[str]) -> int:
                              "(default 5)")
     parser.add_argument("--against", metavar="PATH",
                         help="regress: compare against this committed "
-                             "baseline history file instead of "
-                             "earlier runs in the same log")
-    parser.add_argument("--any-fingerprint", action="store_true",
-                        help="regress: compare across config "
-                             "fingerprints (experiments/scale) "
-                             "instead of requiring a match")
+                             "baseline log instead of earlier runs in "
+                             "the cache's run log")
     args = parser.parse_args(argv)
 
     from repro.harness.cachedir import CacheDir
@@ -709,13 +689,14 @@ def _obs_main(argv: List[str]) -> int:
                                   render_report, render_timelines,
                                   resolve_run)
 
+    records, path = _load_runs(args.cache_dir)
+    if args.action in ("trend", "regress"):
+        return _obs_history_main(args, records, path)
     runs_root = CacheDir(args.cache_dir).runs_root
-    if args.action in ("history", "trend", "regress"):
-        return _obs_history_main(args)
-    run_doc = resolve_run(runs_root, args.run)
+    run_doc = resolve_run(records, args.run)
     if run_doc is None:
-        print("no run matches %r under %s (run an experiment with "
-              "--obs first)" % (args.run, runs_root), file=sys.stderr)
+        print("no run matches %r in %s (run an experiment with "
+              "--obs first)" % (args.run, path), file=sys.stderr)
         return 1
     obs = load_obs(runs_root, run_doc)
 
@@ -738,26 +719,17 @@ def _obs_main(argv: List[str]) -> int:
     return 0
 
 
-def _obs_history_main(args) -> int:
-    """The run-history actions: ``history``, ``trend``, ``regress``."""
+def _obs_history_main(args, records, path: str) -> int:
+    """The actions over every recorded run: ``trend`` and
+    ``regress``."""
     from repro.obs import history as obs_history
 
-    path = args.history or obs_history.history_path(args.cache_dir)
-    records, skipped = obs_history.load_history(path)
-    if skipped:
-        print("warning: skipped %d corrupt history line%s in %s" %
-              (skipped, "" if skipped == 1 else "s", path),
-              file=sys.stderr)
     if args.json:
         import json
 
-        json.dump({"path": path, "records": records, "skipped": skipped},
-                  sys.stdout, indent=2, sort_keys=True)
+        json.dump({"path": path, "records": records}, sys.stdout,
+                  indent=2, sort_keys=True)
         print()
-        return 0
-    if args.action == "history":
-        print(obs_history.render_history(records, last=args.last,
-                                         skipped=skipped))
         return 0
     if args.action == "trend":
         print(obs_history.render_trend(records,
@@ -766,25 +738,19 @@ def _obs_history_main(args) -> int:
         return 0
     # regress: newest record vs rolling (or committed) baseline
     if not records:
-        print("no history recorded under %s (run an experiment "
-              "first)" % path, file=sys.stderr)
+        print("no recorded runs in %s (run an experiment first)"
+              % path, file=sys.stderr)
         return 1
     latest = records[-1]
+    pool = records
     if args.against:
-        baseline, base_skipped = obs_history.load_history(args.against)
-        if base_skipped:
+        pool, skipped = obs_history.load_history(args.against)
+        if skipped:
             print("warning: skipped %d corrupt baseline line%s in %s" %
-                  (base_skipped, "" if base_skipped == 1 else "s",
+                  (skipped, "" if skipped == 1 else "s",
                    args.against), file=sys.stderr)
-        if not args.any_fingerprint:
-            key = obs_history.fingerprint(latest)
-            baseline = [record for record in baseline
-                        if obs_history.fingerprint(record) == key]
-        baseline = baseline[-args.window:]
-    else:
-        baseline = obs_history.baseline_for(
-            records, latest, window=args.window,
-            any_fingerprint=args.any_fingerprint)
+    baseline = obs_history.baseline_for(pool, latest,
+                                        window=args.window)
     regressions = obs_history.compare_to_baseline(
         latest, baseline, threshold=args.threshold)
     print(obs_history.render_regress(latest, baseline, regressions,
@@ -793,7 +759,6 @@ def _obs_history_main(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "table":
         return _table_main(argv[1:])

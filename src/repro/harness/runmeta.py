@@ -1,13 +1,15 @@
-"""Structured run metadata: one JSON document per harness invocation.
+"""Run records: one checksummed JSON line per harness run.
 
-Every ``repro-harness`` run (and any embedding that opts in) records a
-machine-readable provenance document under ``<cache>/runs/``::
+Every ``repro-harness`` run that executes experiments or run tables
+(and any embedding that opts in) appends one record to the run log
+``<cache>/runs/history.jsonl`` (:mod:`repro.obs.history`)::
 
     {
-      "schema": 1,
-      "run_id": "20260805-141502-1234",
+      "schema": 2,
+      "run_id": "20260805-141502-1234-1",
       "started_at": "2026-08-05T14:15:02",
       "argv": ["F7", "F8", "--jobs", "4"],
+      "scale": 1.0,
       "host": {"platform": "...", "python": "3.11.x", "cpu_count": 8},
       "engine": {"jobs": 4, "cache": true, "cache_dir": "..."},
       "experiments": [
@@ -18,27 +20,41 @@ machine-readable provenance document under ``<cache>/runs/``::
         ...
       ],
       "totals": {"wall_s": ..., "stages": {...}, "instructions": ...},
+      "kernel_passes": {"deadness": {"calls": 20, "items": 226842,
+                                     "seconds": 0.0098}, ...},
       "robustness": {"retries": 0, "pool_faults": 0,
                      "degraded_to_serial": false, "failed_cells": [],
-                     "faults_injected": {}, "cache": {...}}
+                     "faults_injected": {}, "cache": {...}},
+      "checksum": "<sha256 of the rest>"
     }
 
 ``wall_s`` is per-experiment wall time; ``stages`` are the engine's
 per-stage cache hit/miss counts and compute seconds *attributed to that
 experiment* (snapshot deltas), so a hot-cache rerun shows zero compile
-and trace misses.  ``repro-harness runs`` summarizes these documents.
+and trace misses.  ``kernel_passes`` is aggregated from the run's
+``kernel:<pass>`` spans, so it is ``{}`` for a run without telemetry.
+A run-table run (``table run|export``) adds ``repetitions`` and
+``run_tables``; an observed run adds ``obs`` (the artifact names under
+``<cache>/runs/obs-<run id>/``).  ``repro-harness runs`` summarizes
+the records.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import os
 import platform
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-SCHEMA = 1
+from repro.obs import history
+
+SCHEMA = 2
+
+#: makes run ids unique within a process (two runs can start in one
+#: second); the pid makes them unique across processes
+_RUN_COUNTER = itertools.count(1)
 
 
 def host_info() -> Dict[str, object]:
@@ -52,15 +68,19 @@ def host_info() -> Dict[str, object]:
 
 
 def _new_run_id() -> str:
-    return "%s-%d" % (time.strftime("%Y%m%d-%H%M%S"), os.getpid())
+    return "%s-%d-%d" % (time.strftime("%Y%m%d-%H%M%S"), os.getpid(),
+                         next(_RUN_COUNTER))
 
 
 @dataclass
 class RunRecorder:
-    """Accumulates per-experiment records for one harness invocation."""
+    """Accumulates the record of one harness invocation."""
 
     argv: List[str] = field(default_factory=list)
     engine_info: Dict[str, object] = field(default_factory=dict)
+    scale: float = 1.0
+    #: seed repetitions of a run-table run (``None``: an experiment run)
+    repetitions: Optional[int] = None
     run_id: str = field(default_factory=_new_run_id)
     started_at: str = field(
         default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
@@ -69,17 +89,18 @@ class RunRecorder:
     #: one record per table with its cell count, repetitions, and
     #: measurement wall time
     tables: List[Dict[str, object]] = field(default_factory=list)
-    #: observability summary for runs executed with telemetry on:
-    #: ``{"dir": ..., "spans": {name: {count, seconds}},
-    #: "artifacts": [...]}`` — see ``repro.obs`` and the ``obs`` CLI
+    #: per-pass ``{calls, items, seconds}`` from the run's
+    #: ``kernel:<pass>`` spans (:func:`repro.obs.history.kernel_pass_table`)
+    kernel_passes: Dict[str, Dict[str, float]] = field(
+        default_factory=dict)
+    #: for runs executed with telemetry on: ``{"artifacts": [...]}``,
+    #: the files under ``<cache>/runs/obs-<run id>/`` — see
+    #: ``repro.obs`` and the ``obs`` CLI
     obs: Optional[Dict[str, object]] = None
     #: robustness summary (``Engine.robustness()``): retries, pool
     #: faults, serial degradation, cache store-error/quarantine
     #: counts, injected faults, and cells dropped in partial mode
     robustness: Optional[Dict[str, object]] = None
-    #: pointer into the persistent run-history log
-    #: (``repro.obs.history``): ``{"path": ..., "checksum": ...}``
-    history: Optional[Dict[str, object]] = None
 
     def record(self, experiment_id: str, wall_s: float,
                stage_delta: Dict[str, Dict[str, object]],
@@ -101,6 +122,7 @@ class RunRecorder:
         })
 
     def document(self) -> Dict[str, object]:
+        """The run record, without its checksum."""
         totals_stages: Dict[str, Dict[str, float]] = {}
         for record in self.experiments:
             for stage, counts in record["stages"].items():
@@ -115,6 +137,7 @@ class RunRecorder:
             "run_id": self.run_id,
             "started_at": self.started_at,
             "argv": list(self.argv),
+            "scale": self.scale,
             "host": host_info(),
             "engine": dict(self.engine_info),
             "experiments": list(self.experiments),
@@ -125,52 +148,33 @@ class RunRecorder:
                                     for r in self.experiments),
                 "stages": totals_stages,
             },
+            "kernel_passes": {
+                name: {"calls": bucket["calls"],
+                       "items": bucket["items"],
+                       "seconds": round(bucket["seconds"], 6)}
+                for name, bucket in sorted(self.kernel_passes.items())},
         }
+        if self.repetitions is not None:
+            document["repetitions"] = self.repetitions
         if self.tables:
             document["run_tables"] = list(self.tables)
         if self.obs:
             document["obs"] = dict(self.obs)
         if self.robustness is not None:
             document["robustness"] = dict(self.robustness)
-        if self.history is not None:
-            document["history"] = dict(self.history)
         return document
 
-    def write(self, runs_root: str) -> str:
-        """Persist the document; returns the path written."""
-        os.makedirs(runs_root, exist_ok=True)
-        path = os.path.join(runs_root, "run-%s.json" % self.run_id)
-        with open(path, "w") as stream:
-            json.dump(self.document(), stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        return path
+    def write(self, cache_dir: str) -> str:
+        """Append the record to the run log under *cache_dir*; returns
+        the log's path."""
+        return history.append_record(cache_dir, self.document())
 
 
-def load_runs(runs_root: str) -> List[Dict[str, object]]:
-    """All parseable run documents, oldest first."""
-    if not os.path.isdir(runs_root):
-        return []
-    documents = []
-    for name in sorted(os.listdir(runs_root)):
-        if not (name.startswith("run-") and name.endswith(".json")):
-            continue
-        try:
-            with open(os.path.join(runs_root, name)) as stream:
-                documents.append(json.load(stream))
-        except (OSError, ValueError):
-            continue
-    documents.sort(key=lambda doc: doc.get("started_at", ""))
-    return documents
-
-
-def summarize_runs(documents: List[Dict[str, object]],
-                   last: Optional[int] = None) -> str:
-    """A human-readable table over run documents (newest last)."""
-    if last is not None:
-        documents = documents[-last:]
+def summarize_runs(documents: List[Dict[str, object]]) -> str:
+    """A human-readable table over run records (newest last)."""
     if not documents:
         return "no recorded runs"
-    lines = ["%-22s %-19s %5s %8s %9s %9s %s" %
+    lines = ["%-24s %-19s %5s %8s %9s %9s %s" %
              ("run id", "started", "exps", "wall(s)",
               "hit/miss", "instrs", "experiments")]
     for doc in documents:
@@ -180,7 +184,7 @@ def summarize_runs(documents: List[Dict[str, object]],
         misses = sum(c.get("misses", 0) for c in stages.values())
         ids = [r.get("id", "?") for r in doc.get("experiments", [])]
         shown = ",".join(ids[:8]) + ("..." if len(ids) > 8 else "")
-        lines.append("%-22s %-19s %5d %8.1f %9s %9d %s" % (
+        lines.append("%-24s %-19s %5d %8.1f %9s %9d %s" % (
             doc.get("run_id", "?"), doc.get("started_at", "?"),
             len(ids), totals.get("wall_s", 0.0),
             "%d/%d" % (hits, misses),

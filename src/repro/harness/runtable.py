@@ -217,18 +217,30 @@ class RunTableContext:
     Resolves workload factor levels — curated suite names and generated
     ``gen:...`` corpus names alike — to the cells of its engine
     (:meth:`~repro.harness.engine.Engine.suite`, memoized per engine),
-    and calls the engine's cached stages for them.  Future paths are
-    memoized per (cell, path_bits) for the table's lifetime, so a sweep
-    hits the paths stage once per trace, not once per sweep point.
-    Under repetitions, generated workload names are re-seeded per
-    repetition (``rep`` is added to the ``gen:`` seed field); curated
-    workloads are deterministic and measure identically every time.
+    and calls the engine's cached stages for them.  The curated cells
+    it serves are the curated levels of its table's ``workload`` factor,
+    fetched in one batch (a context built without a table, or for a
+    table without that factor, serves the whole suite).  Future paths
+    are memoized per (cell, path_bits) for the table's lifetime, so a
+    sweep hits the paths stage once per trace, not once per sweep
+    point.  Under repetitions, generated workload names are re-seeded
+    per repetition (``rep`` is added to the ``gen:`` seed field);
+    curated workloads are deterministic and measure identically every
+    time.
     """
 
-    def __init__(self, scale: float, engine: Optional[Engine] = None):
+    def __init__(self, scale: float, engine: Optional[Engine] = None,
+                 table: Optional[RunTable] = None):
         self.scale = scale
         self.engine = engine if engine is not None else get_engine()
         self.rep = 0
+        #: the curated workloads :meth:`suite` fetches (``None``: all)
+        self.names: Optional[Tuple[str, ...]] = None
+        for factor in table.factors if table is not None else ():
+            if factor.name == "workload":
+                self.names = tuple(
+                    level.payload for level in factor.levels
+                    if not generate.is_generated_name(level.payload))
         #: (trace key or cell identity, path_bits) -> PathInfo; it
         #: lives as long as the table, which bounds cold peak RSS
         self._paths: Dict[Tuple[object, int], object] = {}
@@ -246,25 +258,24 @@ class RunTableContext:
 
     def suite(self, opt_level: int = 2, max_hoist: int = 4,
               scalar_opt: bool = False) -> List[CellArtifact]:
-        """The curated suite's cells."""
+        """The cells of the curated workloads this context serves."""
         return self.engine.suite(self.scale, CompilerOptions(
             opt_level=opt_level, max_hoist=max_hoist,
-            scalar_opt=scalar_opt))
+            scalar_opt=scalar_opt), names=self.names)
 
     def run_for(self, name: str, opt_level: int = 2, max_hoist: int = 4,
                 scalar_opt: bool = False) -> CellArtifact:
         """The cell for one workload factor level."""
         name = self.resolve_name(name)
-        options = CompilerOptions(opt_level=opt_level,
-                                  max_hoist=max_hoist,
-                                  scalar_opt=scalar_opt)
         if generate.is_generated_name(name):
-            return self.engine.suite(self.scale, options,
-                                     names=(name,))[0]
-        for run in self.engine.suite(self.scale, options):
+            return self.engine.suite(self.scale, CompilerOptions(
+                opt_level=opt_level, max_hoist=max_hoist,
+                scalar_opt=scalar_opt), names=(name,))[0]
+        for run in self.suite(opt_level, max_hoist, scalar_opt):
             if run.spec.workload == name:
                 return run
-        raise KeyError("workload %r is not in the suite" % name)
+        raise KeyError("workload %r is not in the suite this context "
+                       "serves" % name)
 
     # -- per-trace derivations and cached stages ----------------------
 
@@ -437,7 +448,8 @@ class RunTableExecutor:
         self.table = table.validate()
         self.scale = scale
         self.repetitions = repetitions
-        self.context = RunTableContext(scale, engine=engine)
+        self.context = RunTableContext(scale, engine=engine,
+                                       table=self.table)
 
     def run(self) -> RunTableResult:
         table = self.table

@@ -15,7 +15,7 @@ fresh ones, by pickle equality.
 When telemetry is on, every kernel call is recorded once
 (:func:`timed_pass`) as a ``kernel:<pass>`` span carrying its wall time
 and the number of items it walked — the only record of kernel passes:
-``obs report`` / ``obs hotspots`` and the run history's per-pass table
+``obs report`` / ``obs hotspots`` and the run record's per-pass table
 (``obs.history.kernel_pass_table``) aggregate these spans, so
 fused-pass savings are visible next to the stage spans.  With
 telemetry off a kernel call is not timed at all.

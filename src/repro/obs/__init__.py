@@ -7,7 +7,7 @@ or the ``REPRO_OBS=1`` environment) owns everything telemetry-related:
   run → experiment → stage/kernel spans — the single event record:
   every stage execution is one ``stage:<stage>`` span and every kernel
   call one ``kernel:<pass>`` span, and the kernel-pass table of the run
-  history and ``obs report`` is aggregated from those spans;
+  record and ``obs report`` is aggregated from those spans;
 * the pipeline timelines sampled by the simulator and the predictor
   probes recorded by the evaluation walk.
 
@@ -15,8 +15,9 @@ The collector is *cross-process*: pool workers run under a fresh
 per-task collector and ship their spans back with each result, which
 the parent grafts into its tree stamped ``worker="<n>"``
 (:mod:`repro.obs.delta`), so the span record is complete under
-``--jobs N``.  Per-run timing summaries persist to a checksummed run
-history with regression gates (:mod:`repro.obs.history`).
+``--jobs N``.  Each run's one record, kernel-pass timing included,
+lands in the checksummed run log that every run view reads, with a
+regression gate (:mod:`repro.obs.history`).
 
 When no collector is configured — the default — every helper in this
 module returns ``None`` and the instrumented code paths reduce to one

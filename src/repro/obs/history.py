@@ -1,17 +1,18 @@
-"""Persistent run history: per-run timing records with regression gates.
+"""The run log: one checksummed JSON line per harness run.
 
-Every harness invocation appends one checksummed JSON line to
-``<cache-dir>/obs-history/history.jsonl``: run id, a config
-fingerprint (experiment set, scale), total wall time,
-per-stage cache totals, per-kernel-pass timing aggregated from the
+Every harness run that executes experiments or run tables appends one
+record to ``<cache-dir>/runs/history.jsonl``
+(:meth:`repro.harness.runmeta.RunRecorder.write`): the run's argv,
+scale, engine, per-experiment wall time and stage counts, run tables,
+robustness counters, and a per-kernel-pass table aggregated from the
 run's ``kernel:<pass>`` spans (the uops.info-style latency/throughput
 table, tracked *over time* instead of as a point measurement; only
-observed runs have spans, so only they record passes), and the
-robustness counters.  The record survives the
-process, so perf claims become trajectories:
+observed runs have spans, so an unobserved run records ``{}``).
+Every run view reads this one log through :func:`load_history`:
 
-* ``obs history``  — one line per recorded run;
-* ``obs trend``    — per-pass seconds (and items/s) across runs;
+* ``runs``         — one line per recorded run;
+* ``obs report``   — one run's telemetry, resolved from its record;
+* ``obs trend``    — per-pass seconds across runs;
 * ``obs regress``  — the newest run against a rolling baseline of
   earlier same-fingerprint runs (or a committed baseline file via
   ``--against``), exiting non-zero when any tracked metric exceeds
@@ -20,8 +21,8 @@ process, so perf claims become trajectories:
 
 Records are self-verifying: the ``checksum`` field is the SHA-256 of
 the record's canonical JSON without it, and :func:`load_history`
-silently skips lines that fail to parse or verify (a truncated tail
-from a crashed run never poisons the trajectory).
+counts and skips lines that fail to parse or verify (a truncated tail
+from a crashed run never poisons the log).
 """
 
 from __future__ import annotations
@@ -34,27 +35,23 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.spans import span_totals
 
 __all__ = [
-    "RECORD_SCHEMA",
     "append_record",
+    "baseline_for",
     "compare_to_baseline",
     "fingerprint",
     "history_path",
     "kernel_pass_table",
     "load_history",
-    "make_record",
-    "render_history",
     "render_regress",
     "render_trend",
 ]
-
-RECORD_SCHEMA = 1
 
 #: metrics regress tracks: total wall plus every kernel pass's seconds
 _WALL = "wall_s"
 
 
 def history_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "obs-history", "history.jsonl")
+    return os.path.join(cache_dir, "runs", "history.jsonl")
 
 
 # ---------------------------------------------------------------------
@@ -70,71 +67,31 @@ def _checksum(record: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _wall(record: Dict[str, object]) -> float:
+    return float((record.get("totals") or {}).get("wall_s", 0.0))
+
+
 def fingerprint(record: Dict[str, object]) -> str:
-    """What makes two runs comparable: experiment set and scale.
+    """What makes two runs comparable: the experiment or run-table
+    ids, the scale and, for a run-table run, its repetitions (an
+    experiment run has none, so it never matches a table run).
     Parallelism and caching are deliberately excluded — they change
     how fast the same work happens, which is exactly what the
     trajectory is supposed to expose."""
-    config = record.get("config") or {}
-    return "%s|%s" % (
-        ",".join(sorted(config.get("experiments") or [])),
-        config.get("scale", 1.0))
+    ids = sorted(str(entry.get("id", "?"))
+                 for entry in record.get("experiments") or [])
+    return "%s|%s|%s" % (",".join(ids), record.get("scale", 1.0),
+                         record.get("repetitions", "-"))
 
 
 def kernel_pass_table(spans: Iterable[Dict[str, object]]
                       ) -> Dict[str, Dict[str, float]]:
     """Per-pass ``{calls, items, seconds}`` aggregated over the
     ``kernel:<pass>`` span documents in *spans* (worker-merged spans
-    included): the one derivation behind a history record's
+    included): the one derivation behind a run record's
     ``kernel_passes`` and the kernel table of ``obs report``.  A run
     without telemetry has no spans, so it records no passes."""
     return span_totals(spans, "kernel:", "items")
-
-
-def make_record(run_doc: Dict[str, object],
-                kernel_passes: Dict[str, Dict[str, float]],
-                scale: float = 1.0) -> Dict[str, object]:
-    """One history record from a finished run's metadata document
-    (:meth:`repro.harness.runmeta.RunRecorder.document`) plus the
-    per-pass timing table."""
-    engine = run_doc.get("engine") or {}
-    totals = run_doc.get("totals") or {}
-    robustness = run_doc.get("robustness") or {}
-    record: Dict[str, object] = {
-        "schema": RECORD_SCHEMA,
-        "run_id": run_doc.get("run_id", "?"),
-        "started_at": run_doc.get("started_at", "?"),
-        "config": {
-            "jobs": engine.get("jobs", 1),
-            "experiments": [str(entry.get("id", "?")) for entry
-                            in run_doc.get("experiments") or []],
-            "scale": scale,
-            "argv": list(run_doc.get("argv") or []),
-        },
-        "wall_s": float(totals.get("wall_s", 0.0)),
-        "instructions": int(totals.get("instructions", 0)),
-        "stages": {
-            stage: {"hits": int(counts.get("hits", 0)),
-                    "misses": int(counts.get("misses", 0)),
-                    "seconds": round(float(counts.get("seconds", 0.0)),
-                                     6)}
-            for stage, counts in (totals.get("stages") or {}).items()},
-        "kernel_passes": {
-            name: {"calls": int(bucket.get("calls", 0)),
-                   "items": int(bucket.get("items", 0)),
-                   "seconds": round(float(bucket.get("seconds", 0.0)),
-                                    6)}
-            for name, bucket in sorted(kernel_passes.items())},
-        "robustness": {
-            "retries": robustness.get("retries", 0),
-            "pool_faults": robustness.get("pool_faults", 0),
-            "degraded_to_serial":
-                bool(robustness.get("degraded_to_serial")),
-            "failed_cells": len(robustness.get("failed_cells") or []),
-        },
-    }
-    record["checksum"] = _checksum(record)
-    return record
 
 
 try:
@@ -145,15 +102,15 @@ except ImportError:  # pragma: no cover (non-POSIX)
 
 def append_record(cache_dir: str,
                   record: Dict[str, object]) -> str:
-    """Append one record to the run history; returns the path.
+    """Append one record to the run log; returns the path.
 
-    Concurrent harness invocations (pool workers, parallel CLI runs)
-    share one ``history.jsonl``, so the append must never interleave:
+    Concurrent harness invocations (parallel CLI runs) share one
+    ``history.jsonl``, so the append must never interleave:
     the whole line goes down as a single ``write(2)`` on an
     ``O_APPEND`` descriptor, under an advisory ``flock`` where the
     platform has one.  A torn line would not crash the loader — it
-    silently drops *both* writers' records from the trajectory — which
-    is exactly why it must not happen.
+    drops *both* writers' records from every run view — which is
+    exactly why it must not happen.
     """
     path = history_path(cache_dir)
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -177,9 +134,9 @@ def append_record(cache_dir: str,
 
 
 def load_history(path: str) -> Tuple[List[Dict[str, object]], int]:
-    """``(records, skipped)`` from one history file, oldest first.
+    """``(records, skipped)`` from one run log, oldest first.
     Unparseable or checksum-failing lines are counted and skipped —
-    a torn append never poisons the trajectory."""
+    a torn append never poisons the log."""
     records: List[Dict[str, object]] = []
     skipped = 0
     try:
@@ -213,7 +170,7 @@ def _tracked_metrics(record: Dict[str, object]) -> Dict[str, float]:
     """The metrics the gate compares: total wall seconds and each
     kernel pass's per-item rate (seconds/item when items were counted,
     raw seconds otherwise — rates absorb workload-size drift)."""
-    metrics = {_WALL: float(record.get("wall_s", 0.0))}
+    metrics = {_WALL: _wall(record)}
     for name, bucket in (record.get("kernel_passes") or {}).items():
         seconds = float(bucket.get("seconds", 0.0))
         items = float(bucket.get("items", 0))
@@ -258,53 +215,20 @@ def compare_to_baseline(latest: Dict[str, object],
 
 
 def baseline_for(records: Sequence[Dict[str, object]],
-                 latest: Dict[str, object], window: int = 5,
-                 any_fingerprint: bool = False
+                 latest: Dict[str, object], window: int = 5
                  ) -> List[Dict[str, object]]:
-    """The rolling baseline for *latest*: the newest *window* earlier
-    records sharing its fingerprint (or any fingerprint, for gates
-    against a committed baseline produced on other hardware)."""
+    """The rolling baseline for *latest*: the newest *window* records
+    of *records* (the same log, or a committed baseline file) other
+    than *latest* that share its fingerprint."""
     key = fingerprint(latest)
     pool = [record for record in records
-            if record is not latest
-            and (any_fingerprint or fingerprint(record) == key)]
+            if record is not latest and fingerprint(record) == key]
     return pool[-window:]
 
 
 # ---------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------
-
-
-def render_history(records: Sequence[Dict[str, object]],
-                   last: Optional[int] = None,
-                   skipped: int = 0) -> str:
-    if last is not None:
-        records = records[-last:]
-    if not records:
-        text = "no history recorded (run an experiment first)"
-        if skipped:
-            text += "\n%d corrupt line%s skipped" % (
-                skipped, "" if skipped == 1 else "s")
-        return text
-    lines = ["%-22s %-19s %8s %9s %5s %s" %
-             ("run id", "started", "wall(s)", "instrs", "jobs",
-              "experiments")]
-    for record in records:
-        config = record.get("config") or {}
-        ids = config.get("experiments") or []
-        shown = ",".join(ids[:8]) + ("..." if len(ids) > 8 else "")
-        lines.append("%-22s %-19s %8.1f %9d %5s %s" % (
-            record.get("run_id", "?"), record.get("started_at", "?"),
-            float(record.get("wall_s", 0.0)),
-            int(record.get("instructions", 0)),
-            config.get("jobs", "?"), shown))
-    lines.append("%d record%s" % (len(records),
-                                  "" if len(records) == 1 else "s")
-                 + (", %d corrupt line%s skipped" %
-                    (skipped, "" if skipped == 1 else "s")
-                    if skipped else ""))
-    return "\n".join(lines)
 
 
 def render_trend(records: Sequence[Dict[str, object]],
@@ -315,7 +239,7 @@ def render_trend(records: Sequence[Dict[str, object]],
     if last is not None:
         records = records[-last:]
     if not records:
-        return "no history recorded (run an experiment first)"
+        return "no recorded runs (run an experiment first)"
     names: List[str] = []
     for record in records:
         for name in (record.get("kernel_passes") or {}):
@@ -325,14 +249,14 @@ def render_trend(records: Sequence[Dict[str, object]],
         names = [name for name in names
                  if any(token in name for token in passes)]
     if not names:
-        return "no kernel passes recorded in history"
-    header = "%-22s %8s" % ("run id", "wall(s)")
+        return "no kernel passes recorded"
+    header = "%-24s %8s" % ("run id", "wall(s)")
     header += "".join(" %14s" % name[:14] for name in names)
     lines = [header]
     for record in records:
         table = record.get("kernel_passes") or {}
-        row = "%-22s %8.1f" % (record.get("run_id", "?"),
-                               float(record.get("wall_s", 0.0)))
+        row = "%-24s %8.1f" % (record.get("run_id", "?"),
+                               _wall(record))
         for name in names:
             bucket = table.get(name)
             row += " %14s" % ("%.3fs" % bucket["seconds"]

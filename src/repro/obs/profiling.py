@@ -13,12 +13,10 @@ conditionals.
 from __future__ import annotations
 
 import cProfile
-import io
-import pstats
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-__all__ = ["profile_into", "top_functions"]
+__all__ = ["profile_into"]
 
 
 @contextmanager
@@ -35,10 +33,3 @@ def profile_into(path: Optional[str]) -> Iterator[None]:
         profiler.disable()
         profiler.dump_stats(path)
 
-
-def top_functions(path: str, count: int = 10) -> str:
-    """The cumulative-time head of a stored pstats artifact."""
-    buffer = io.StringIO()
-    stats = pstats.Stats(path, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(count)
-    return buffer.getvalue()

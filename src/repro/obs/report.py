@@ -1,16 +1,17 @@
 """Rendering stored observability artifacts (the ``obs`` CLI).
 
-A run executed with ``--obs`` leaves, next to its metadata document::
+A run executed with ``--obs`` leaves, next to its record in the run
+log::
 
-    <cache>/runs/run-<id>.json          # runmeta (has an "obs" section)
+    <cache>/runs/history.jsonl          # the run log: its record has "obs"
     <cache>/runs/obs-<id>/spans.jsonl   # hierarchical span trace
     <cache>/runs/obs-<id>/timelines.json
     <cache>/runs/obs-<id>/predictors.json
     <cache>/runs/obs-<id>/profile-<EXP>.pstats   # with --profile
 
-This module resolves run ids (exact, unique prefix, or ``last``),
-loads those artifacts, and renders the ``obs report`` / ``timeline`` /
-``hotspots`` views.
+This module resolves run ids (exact, unique prefix, or ``last``)
+among the records of the run log, loads those artifacts, and renders
+the ``obs report`` / ``timeline`` / ``hotspots`` views.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ def obs_dir_for(runs_root: str, run_id: str) -> str:
     return os.path.join(runs_root, "obs-%s" % run_id)
 
 
-def resolve_run(runs_root: str,
+def resolve_run(documents: List[Dict[str, object]],
                 token: str = "last") -> Optional[Dict[str, object]]:
-    """The run document matching *token*: ``last`` (newest run with
-    observability artifacts, else newest overall), an exact run id, or
-    a unique run-id prefix.  None when nothing matches."""
-    from repro.harness.runmeta import load_runs
-
-    documents = load_runs(runs_root)
+    """The run record among *documents* (oldest first) matching
+    *token*: ``last`` (newest run with observability artifacts, else
+    newest overall), an exact run id, or a unique run-id prefix.  None
+    when nothing matches."""
     if not documents:
         return None
     if token in ("", "last"):

@@ -150,17 +150,6 @@ class SpanTracer:
         return "".join(json.dumps(span.to_dict(), sort_keys=True) + "\n"
                        for span in self.spans)
 
-    def summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-name span counts and summed seconds (for run metadata)."""
-        out: Dict[str, Dict[str, object]] = {}
-        for span in self.spans:
-            bucket = out.setdefault(span.name,
-                                    {"count": 0, "seconds": 0.0})
-            bucket["count"] += 1
-            bucket["seconds"] = round(bucket["seconds"] + span.seconds,
-                                      6)
-        return out
-
 
 def span_totals(spans: Iterable[Dict[str, object]], prefix: str,
                 attr: str) -> Dict[str, Dict[str, float]]:

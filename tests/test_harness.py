@@ -148,7 +148,7 @@ def test_cli_rejects_unknown():
 
 
 @pytest.mark.parametrize("command", [["runs"], ["cache", "stats"],
-                                     ["obs", "history"]], ids=" ".join)
+                                     ["obs", "trend"]], ids=" ".join)
 def test_cache_commands_ignore_engine_env(command, monkeypatch, tmp_path,
                                           capsys):
     """`runs`, `cache` and `obs` read only REPRO_CACHE_DIR, so a
@@ -165,7 +165,7 @@ def test_cache_commands_ignore_engine_env(command, monkeypatch, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["runs", "--last", "0"],
     ["runs", "--last", "-1"],
-    ["obs", "history", "--last", "0"],
+    ["obs", "trend", "--last", "0"],
     ["obs", "trend", "--last", "-1"],
     ["obs", "regress", "--window", "0"],
     ["obs", "report", "--top", "-1"],

@@ -301,26 +301,24 @@ class TestSmoke:
 
 class TestRunMeta:
     def test_recorder_roundtrip(self, tmp_path):
-        from repro.harness.runmeta import (
-            RunRecorder,
-            load_runs,
-            summarize_runs,
-        )
+        from repro.harness.runmeta import RunRecorder, summarize_runs
+        from repro.obs.history import history_path, load_history
 
         recorder = RunRecorder(argv=["F1"], engine_info={"jobs": 2})
         recorder.record("F1", 1.25,
                         {"compile": {"hits": 10, "misses": 0,
                                      "seconds": 0.01}},
                         instructions=1234)
-        path = recorder.write(str(tmp_path / "runs"))
-        documents = load_runs(str(tmp_path / "runs"))
-        assert len(documents) == 1
+        path = recorder.write(str(tmp_path))
+        assert path == history_path(str(tmp_path))
+        documents, skipped = load_history(path)
+        assert len(documents) == 1 and skipped == 0
         document = documents[0]
         assert document["experiments"][0]["id"] == "F1"
         assert document["totals"]["instructions"] == 1234
         assert document["totals"]["stages"]["compile"]["hits"] == 10
         assert document["engine"] == {"jobs": 2}
-        assert os.path.basename(path).startswith("run-")
+        assert document["kernel_passes"] == {}
         assert "F1" in summarize_runs(documents)
 
     def test_cli_cache_subcommand(self, tmp_path, capsys):
@@ -344,7 +342,114 @@ class TestRunMeta:
         cache_dir = str(tmp_path / "clicache")
         recorder = RunRecorder(argv=["F1"])
         recorder.record("F1", 0.5, {}, instructions=10)
-        recorder.write(os.path.join(cache_dir, "runs"))
+        recorder.write(cache_dir)
         assert main(["runs", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert recorder.run_id in out
+
+
+def _cli(capsys, *argv):
+    """``repro-harness`` in this process; returns its stdout."""
+    from repro import obs
+    from repro.harness.cli import main
+    from repro.harness.engine import reset_engine
+
+    try:
+        code = main(list(argv))
+    finally:
+        obs.reset_obs()
+        reset_engine()
+    assert code == 0, argv
+    return capsys.readouterr().out
+
+
+def _records(capsys, cache_dir):
+    """The run records that ``runs --json`` lists."""
+    import json
+
+    return json.loads(_cli(capsys, "runs", "--json",
+                           "--cache-dir", cache_dir))
+
+
+class TestRunLog:
+    """Each CLI run is recorded once, in the one run log that every
+    run view reads."""
+
+    def test_experiment_run_leaves_one_record(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        _cli(capsys, "T1", "--scale", "0.1", "--cache-dir", cache_dir)
+        assert not os.path.exists(os.path.join(cache_dir, "obs-history"))
+        assert os.listdir(os.path.join(cache_dir, "runs")) == \
+            ["history.jsonl"]
+        records = _records(capsys, cache_dir)
+        assert [record["experiments"][0]["id"] for record in records] \
+            == ["T1"]
+        assert records[0]["scale"] == 0.1
+        assert "repetitions" not in records[0]
+        for flag in ("--no-meta", "--no-history"):
+            _cli(capsys, "T1", "--scale", "0.1", flag,
+                 "--cache-dir", cache_dir)
+        assert len(_records(capsys, cache_dir)) == 1
+
+    def test_table_run_leaves_one_record(self, tmp_path, capsys):
+        """``table run`` and ``table export`` append a record, and
+        ``obs regress`` compares the newest only with table runs of the
+        same ids, scale and repetitions."""
+        from repro.obs import history
+
+        cache_dir = str(tmp_path / "cache")
+        for argv in (["T1", "--scale", "0.1"],
+                     ["table", "run", "T1", "--scale", "0.1",
+                      "--reps", "2"],
+                     ["table", "run", "T1", "--scale", "0.2"],
+                     ["table", "export", "T1", "--scale", "0.1"],
+                     ["table", "run", "T1", "--scale", "0.1"]):
+            _cli(capsys, *argv, "--cache-dir", cache_dir)
+        records = _records(capsys, cache_dir)
+        assert len(records) == 5
+        table_run = records[-1]
+        assert table_run["repetitions"] == 1
+        assert table_run["run_tables"][0]["id"] == "T1"
+        assert table_run["run_id"] in _cli(capsys, "runs",
+                                           "--cache-dir", cache_dir)
+        assert history.baseline_for(records, table_run) == [records[3]]
+        out = _cli(capsys, "obs", "regress", "--cache-dir", cache_dir)
+        assert "run %s vs 1 baseline record " % table_run["run_id"] \
+            in out
+
+    def test_clear_runs_removes_every_record(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        cache_dir = str(tmp_path / "cache")
+        _cli(capsys, "T1", "--scale", "0.1", "--obs",
+             "--cache-dir", cache_dir)
+        _cli(capsys, "table", "run", "T1", "--scale", "0.1",
+             "--cache-dir", cache_dir)
+        cleared = _cli(capsys, "cache", "clear", "--runs",
+                       "--cache-dir", cache_dir)
+        assert _records(capsys, cache_dir) == []
+        assert "no recorded runs" in _cli(capsys, "obs", "trend",
+                                          "--cache-dir", cache_dir)
+        assert main(["obs", "regress", "--cache-dir", cache_dir]) == 1
+        assert "no recorded runs" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "runs"))
+        assert "removed 2 run records" in cleared
+
+    def test_run_ids_are_unique_within_one_second(self, tmp_path,
+                                                  capsys, monkeypatch):
+        """Two runs that start in the same second of one process keep
+        both records (and would keep both ``obs-<id>/`` directories)."""
+        import time
+        import types
+
+        from repro.harness import runmeta
+
+        frozen = time.localtime()
+        monkeypatch.setattr(runmeta, "time", types.SimpleNamespace(
+            strftime=lambda fmt: time.strftime(fmt, frozen)))
+        cache_dir = str(tmp_path / "cache")
+        for _ in range(2):
+            _cli(capsys, "T1", "--scale", "0.1", "--cache-dir", cache_dir)
+        run_ids = {record["run_id"]
+                   for record in _records(capsys, cache_dir)}
+        assert len(run_ids) == 2

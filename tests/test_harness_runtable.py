@@ -221,7 +221,8 @@ class TestStatsLayer:
 class TestPrivateEngine:
     def test_curated_cells_come_from_the_private_engine(self, tmp_path):
         """A table over curated workloads on a private engine
-        materializes them there and creates no process-wide engine."""
+        materializes them there, and only them, and creates no
+        process-wide engine."""
         from repro.harness.engine import (
             Engine,
             EngineConfig,
@@ -243,7 +244,7 @@ class TestPrivateEngine:
         reset_engine()
         result = RunTableExecutor(table, scale=0.1, engine=engine).run()
         assert peek_engine() is None
-        assert engine.stats.misses("trace") == 10
+        assert engine.stats.misses("trace") == 2
         assert all(cell["dead"] > 0 for cell in result.cells)
 
 

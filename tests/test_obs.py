@@ -1,8 +1,7 @@
-"""The observability subsystem: timelines, spans, probes, logging,
-and the ``--obs`` / ``obs`` CLI round trip."""
+"""The observability subsystem: timelines, spans, probes, and the
+``--obs`` / ``obs`` CLI round trip."""
 
 import json
-import logging
 import os
 import pathlib
 
@@ -11,7 +10,6 @@ import pytest
 from repro import obs
 from repro.harness.engine import reset_engine
 from repro.obs.introspect import PredictorProbe, table_health
-from repro.obs.logging import _DropNoise, get_logger, parse_level
 from repro.obs.spans import SpanTracer, load_spans, render_span_tree
 from repro.obs.timeline import Timeline
 
@@ -164,35 +162,7 @@ def test_spans_nest_and_roundtrip():
     assert by_name["stage:compile"]["attrs"]["hit"] is True
     tree = render_span_tree(spans)
     assert "run" in tree and "stage:compile" in tree
-    summary = tracer.summary()
-    assert summary["stage:compile"]["count"] == 1
-
-
-# ---------------------------------------------------------------------
-# Logging
-# ---------------------------------------------------------------------
-
-
-def test_parse_level_and_default():
-    assert parse_level("debug") == logging.DEBUG
-    assert parse_level("INFO") == logging.INFO
-    assert parse_level("nonsense") == logging.WARNING
-    assert parse_level(None) == logging.WARNING
-
-
-def test_noise_filter_drops_set_key_chatter():
-    noise = logging.LogRecord("py.warnings", logging.WARNING, "", 0,
-                              "DeprecationWarning: set_key is going "
-                              "away", (), None)
-    signal = logging.LogRecord("py.warnings", logging.WARNING, "", 0,
-                               "something else happened", (), None)
-    drop = _DropNoise()
-    assert not drop.filter(noise)
-    assert drop.filter(signal)
-
-
-def test_get_logger_is_namespaced():
-    assert get_logger("engine").name == "repro.engine"
+    assert [span["name"] for span in spans].count("stage:compile") == 1
 
 
 # ---------------------------------------------------------------------
@@ -227,12 +197,10 @@ def test_cli_obs_roundtrip(tmp_path, capsys):
         assert os.path.exists(os.path.join(obs_dir,
                                            "profile-F6.pstats"))
 
-        # The run document carries the obs summary.
-        run_files = [name for name in os.listdir(runs_root)
-                     if name.startswith("run-")]
-        document = json.loads(pathlib.Path(
-            runs_root, run_files[0]).read_text())
-        assert document["obs"]["spans"]["experiment"]["count"] == 2
+        # The span trace holds one experiment span per experiment.
+        spans = load_spans(pathlib.Path(obs_dir,
+                                        "spans.jsonl").read_text())
+        assert [span["name"] for span in spans].count("experiment") == 2
 
         assert main(["obs", "report", "last",
                      "--cache-dir", cache]) == 0

@@ -1,6 +1,6 @@
 """The cross-process telemetry plane: worker delta snapshot/merge,
-serial-vs-parallel span parity, and the run-history store and its
-regression gate."""
+serial-vs-parallel span parity, and the run log and its regression
+gate."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.harness.engine import CellSpec, Engine, EngineConfig
+from repro.harness.runmeta import RunRecorder
 from repro.lang import CompilerOptions
 from repro.obs import delta as obs_delta
 from repro.obs import history as obs_history
@@ -226,28 +227,26 @@ class TestWorkerParity:
 
 
 # ---------------------------------------------------------------------
-# Run history + regression gate
+# Run log + regression gate
 # ---------------------------------------------------------------------
 
 
 def _record(run_id="r1", wall=1.0, pass_seconds=0.01, items=1000,
             experiments=("F7",)):
-    run_doc = {
-        "run_id": run_id,
-        "started_at": "2026-08-08T00:00:00",
-        "argv": list(experiments),
-        "engine": {"jobs": 1},
-        "experiments": [{"id": name} for name in experiments],
-        "totals": {"wall_s": wall, "instructions": 123,
-                   "stages": {"trace": {"hits": 1, "misses": 2,
-                                        "seconds": 0.5}}},
-        "robustness": {"retries": 0, "pool_faults": 0,
-                       "degraded_to_serial": False,
-                       "failed_cells": []},
-    }
-    passes = {"decode": {"calls": 2, "items": items,
-                         "seconds": pass_seconds}}
-    return obs_history.make_record(run_doc, passes, scale=0.3)
+    recorder = RunRecorder(argv=list(experiments),
+                           engine_info={"jobs": 1}, scale=0.3,
+                           run_id=run_id,
+                           started_at="2026-08-08T00:00:00")
+    for name in experiments:
+        recorder.record(name, wall / len(experiments),
+                        {"trace": {"hits": 1, "misses": 2,
+                                   "seconds": 0.5}}, instructions=123)
+    recorder.kernel_passes = {"decode": {"calls": 2, "items": items,
+                                         "seconds": pass_seconds}}
+    recorder.robustness = {"retries": 0, "pool_faults": 0,
+                           "degraded_to_serial": False,
+                           "failed_cells": []}
+    return recorder.document()
 
 
 class TestHistory:
@@ -259,15 +258,16 @@ class TestHistory:
         records, skipped = obs_history.load_history(path)
         assert skipped == 0
         assert [r["run_id"] for r in records] == ["r1", "r2"]
-        assert records[1]["wall_s"] == 2.0
+        assert records[1]["totals"]["wall_s"] == 2.0
         assert records[0]["kernel_passes"]["decode"]["items"] == 1000
+        assert all(record["checksum"] for record in records)
 
     def test_tampered_and_torn_lines_are_skipped(self, tmp_path):
         cache = str(tmp_path)
         path = obs_history.append_record(cache, _record("good"))
         with open(path, "a") as stream:
-            tampered = dict(_record("evil"))
-            tampered["wall_s"] = 99.0  # checksum now stale
+            tampered = obs_history.load_history(path)[0][0]
+            tampered["run_id"] = "evil"  # checksum now stale
             stream.write(json.dumps(tampered) + "\n")
             stream.write('{"run_id": "torn", "wal\n')  # torn append
         records, skipped = obs_history.load_history(path)
@@ -279,6 +279,13 @@ class TestHistory:
             obs_history.fingerprint(_record("other"))
         assert obs_history.fingerprint(_record()) != \
             obs_history.fingerprint(_record(experiments=("F8",)))
+        other_scale, table_run = _record(), _record()
+        other_scale["scale"] = 0.5
+        table_run["repetitions"] = 1
+        assert obs_history.fingerprint(_record()) != \
+            obs_history.fingerprint(other_scale)
+        assert obs_history.fingerprint(_record()) != \
+            obs_history.fingerprint(table_run)
 
     def test_regress_flags_slowed_pass_and_wall(self):
         baseline = [_record("b%d" % i) for i in range(3)]
@@ -301,15 +308,15 @@ class TestHistory:
                                                threshold=1.5) == []
 
     def test_baseline_for_filters_by_fingerprint(self):
+        table_run = _record("table")
+        table_run["repetitions"] = 1
         records = [_record("a"), _record("odd", experiments=("F8",)),
-                   _record("b"), _record("latest")]
+                   table_run, _record("b"), _record("latest")]
         baseline = obs_history.baseline_for(records, records[-1],
                                             window=5)
         assert [r["run_id"] for r in baseline] == ["a", "b"]
-        everything = obs_history.baseline_for(records, records[-1],
-                                              window=5,
-                                              any_fingerprint=True)
-        assert len(everything) == 3
+        assert obs_history.baseline_for(records, records[-1],
+                                        window=1) == [records[3]]
 
     def test_kernel_pass_table_sums_worker_series(self):
         spans = [{"name": "kernel:decode", "seconds": 0.125,
@@ -328,7 +335,7 @@ class TestHistory:
         cache = str(tmp_path / "cache")
         for run_id in ("r1", "r2"):
             obs_history.append_record(cache, _record(run_id))
-        assert main(["obs", "history", "--cache-dir", cache]) == 0
+        assert main(["runs", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "r1" in out and "r2" in out
         assert main(["obs", "trend", "--cache-dir", cache]) == 0
@@ -347,12 +354,10 @@ class TestHistory:
 
         cache = str(tmp_path / "cache")
         obs_history.append_record(cache, _record("latest"))
-        committed = tmp_path / "baseline.jsonl"
-        with open(committed, "w") as stream:
-            stream.write(json.dumps(_record("base"), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        committed = obs_history.append_record(str(tmp_path / "committed"),
+                                              _record("base"))
         assert main(["obs", "regress", "--cache-dir", cache,
-                     "--against", str(committed)]) == 0
+                     "--against", committed]) == 0
         assert "1 baseline record" in capsys.readouterr().out
 
 
@@ -366,7 +371,7 @@ def _append_history_worker(cache: str, worker: int, count: int) -> None:
 
 class TestConcurrentHistory:
     def test_multiprocess_appends_drop_nothing(self, tmp_path):
-        """Many processes hammering one history.jsonl must produce
+        """Many processes hammering one run log must produce
         zero torn lines and zero lost records — the locked
         single-write O_APPEND contract parallel CLI runs rely on."""
         import multiprocessing
@@ -398,10 +403,11 @@ class TestConcurrentHistory:
         path = obs_history.append_record(cache, _record("good"))
         with open(path, "a") as stream:
             stream.write('{"run_id": "torn", "wal\n')
-        assert main(["obs", "history", "--cache-dir", cache]) == 0
+        assert main(["runs", "--json", "--cache-dir", cache]) == 0
         captured = capsys.readouterr()
-        assert "1 record, 1 corrupt line skipped" in captured.out
-        assert "skipped 1 corrupt history line" in captured.err
+        assert [record["run_id"] for record
+                in json.loads(captured.out)] == ["good"]
+        assert "skipped 1 corrupt line in %s" % path in captured.err
 
 
 # ---------------------------------------------------------------------
