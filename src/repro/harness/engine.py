@@ -49,11 +49,12 @@ cache directories.
 
 from __future__ import annotations
 
+import copy
 import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -723,6 +724,53 @@ def _is_pipeline_result(value: object) -> bool:
     return isinstance(value, PipelineResult)
 
 
+def _certifies(result: PipelineResult) -> bool:
+    """Did *result*'s run never wait on its free register count?  The
+    core reads that count only to stall rename and to refuse a replay,
+    and a replay-mode flush follows only a refusal; so a run with no
+    register stall and no flush is also the run of every config that
+    differs from it only by more ``phys_regs``."""
+    stats = result.stats
+    return stats.rename_stalls_preg == 0 and stats.flush_recoveries == 0
+
+
+def _timing_stage(cache: Optional[CacheDir],
+                  certified: Dict[str, PipelineResult], key: str,
+                  trace_key: str, trace: Trace,
+                  machine_config: MachineConfig,
+                  analysis: Optional[DeadnessAnalysis]
+                  ) -> Tuple[PipelineResult, bool, bool]:
+    """The timing stage for *key* below the engine's memo: ``(result,
+    hit, reused)``.  *certified* maps a family (the key without
+    ``phys_regs``) to its certified run (:func:`_certifies`) with the
+    fewest registers; :meth:`Engine.simulate` keeps one per engine and
+    a prefetch batch one per cell.  A miss is served from that run, as
+    a copy under *machine_config*, when it has fewer registers, and is
+    simulated otherwise; either way it is stored under *key*."""
+    family = _simulate_key(trace_key,
+                           replace(machine_config, phys_regs=0), analysis)
+    earlier = certified.get(family)
+    reused = False
+
+    def compute() -> PipelineResult:
+        nonlocal reused
+        if (earlier is not None
+                and earlier.config.phys_regs < machine_config.phys_regs):
+            reused = True
+            served = copy.deepcopy(earlier)
+            served.config = machine_config
+            return served
+        return simulate(trace, machine_config, analysis)
+
+    result, hit = _cached(cache, "timing", key, _is_pipeline_result,
+                          compute)
+    if _certifies(result) and (
+            earlier is None
+            or result.config.phys_regs < earlier.config.phys_regs):
+        certified[family] = result
+    return result, hit, reused
+
+
 def _prefetch_sim_worker(args: Tuple[CellSpec,
                                      Tuple[MachineConfig, ...],
                                      EngineConfig, Tuple[str, ...],
@@ -744,13 +792,13 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
         artifact = _materialize_payload(spec, payload, config, cache,
                                         plane)
         results: List[Tuple[str, PipelineResult]] = []
+        certified: Dict[str, PipelineResult] = {}
         for machine_config in machine_configs:
             key = _simulate_key(artifact.trace_key, machine_config,
                                 artifact.analysis)
-            result, _hit = _cached(
-                cache, "timing", key, _is_pipeline_result,
-                lambda: simulate(artifact.trace, machine_config,
-                                 artifact.analysis))
+            result, _hit, _reused = _timing_stage(
+                cache, certified, key, artifact.trace_key, artifact.trace,
+                machine_config, artifact.analysis)
             results.append((key, result))
         return {"results": results}
 
@@ -790,6 +838,8 @@ class Engine:
         #: in-memory memo for timing results (tiny objects); serves
         #: repeated simulations and prefetched no-cache results
         self._sim_memo: Dict[str, PipelineResult] = {}
+        #: family key -> certified timing result (:func:`_timing_stage`)
+        self._certified: Dict[str, PipelineResult] = {}
         #: (scale, options key, workload names) -> cells (:meth:`suite`)
         self._suites: Dict[Tuple[float, str, Tuple[str, ...]],
                            List[CellArtifact]] = {}
@@ -976,8 +1026,9 @@ class Engine:
     def simulate(self, trace: Trace, machine_config: MachineConfig,
                  analysis: Optional[DeadnessAnalysis] = None,
                  trace_key: Optional[str] = None) -> PipelineResult:
-        """The cached timing stage.  Without a *trace_key* (ad-hoc
-        traces) the simulation runs uncached and is no stage event."""
+        """The cached timing stage (:func:`_timing_stage` below the
+        memo).  Without a *trace_key* (ad-hoc traces) the simulation
+        runs uncached and is no stage event."""
         if trace_key is None:
             result = simulate(trace, machine_config, analysis)
             self._note_timeline(
@@ -989,14 +1040,17 @@ class Engine:
         started = time.perf_counter()
         result = self._sim_memo.get(key)
         hit = result is not None
+        attrs = {"workload": trace.program.name,
+                 "variant": _variant(machine_config)}
         if not hit:
-            result, hit = _cached(
-                self.cache, "timing", key, _is_pipeline_result,
-                lambda: simulate(trace, machine_config, analysis))
+            result, hit, reused = _timing_stage(
+                self.cache, self._certified, key, trace_key, trace,
+                machine_config, analysis)
             self._sim_memo[key] = result
+            if reused:
+                attrs["reused"] = True
         self.note_stage("timing", hit, time.perf_counter() - started,
-                        workload=trace.program.name,
-                        variant=_variant(machine_config))
+                        **attrs)
         self._note_timeline(key, trace, machine_config, result)
         return result
 
@@ -1114,6 +1168,7 @@ class Engine:
         memory)."""
         self._suites.clear()
         self._sim_memo.clear()
+        self._certified.clear()
         _PROGRAM_MEMO.clear()
 
     def describe(self) -> Dict[str, object]:

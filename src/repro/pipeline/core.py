@@ -23,30 +23,42 @@ every attempt.  Hot event counters are locals, added to
 :class:`PipelineStats` when the loop ends; telemetry samples read the
 locals.
 
-Rename-map conventions: ``rat[arch]`` holds an ``int`` physical
-register, or an :class:`InFlight` object when the architectural
-register was last written by an *eliminated* (predicted-dead)
-instruction — that object is the paper's "squashed" token.  A
-non-eliminated instruction renaming a source to a token is the
-misprediction detector; an instruction renaming its *destination* over
-a token is the verifier.
+Every in-flight instruction is named by its trace index.  The trace is
+the committed stream, so the ROB is the trace window
+``[committed, fq_head)`` and an index is unique while its instruction
+is in flight; a flush squashes a suffix of the window and the refetch
+renames those indices afresh.  Per-instance state lives in per-run
+columns indexed by trace index (see :meth:`Simulator.run`).  The
+physical register file is one free count: no statistic reads which
+register an instruction holds, and a register is freed only when its
+overwriter commits, after every reader has issued, so a source is
+ready exactly when its producer's ``done_at`` has passed.
+
+Rename-map conventions: ``rat[arch]`` holds the trace index of the
+architectural register's current producer, or the trace length ``n``
+for its initial value (ready at cycle 0, holding a register).  A
+producer that holds no register is *eliminated* (predicted dead): its
+index in the map is the paper's "squashed" token.  A non-eliminated
+instruction renaming a source to a token is the misprediction
+detector; an instruction renaming its *destination* over a token is
+the verifier.
 
 Soundness invariants of the elimination machinery (DESIGN.md §5.6):
 
 * An eliminated instruction may only commit once **verified**: its
   destination has been renamed over by a younger instruction *and*
   every eliminated instruction that renamed a source to its token is
-  itself verified (or squashed).  An unverified instruction at the ROB
-  head stalls, and after ``verify_timeout`` cycles is conservatively
-  recovered.
+  itself verified (squashed readers leave the token's reader list).
+  An unverified instruction at the ROB head stalls, and after
+  ``verify_timeout`` cycles is conservatively recovered.
 * Recovery is by **replay** (default): the squashed instruction is
-  still in the ROB with its source mappings — whose physical registers
-  cannot have been freed while it is in flight — so it is allocated a
-  register and re-dispatched, together with the transitive chain of
-  eliminated producers it read from.  When replay resources are
-  unavailable, recovery falls back to a **flush**: a ROB walk from the
-  tail undoes rename mappings back to the oldest chain member, which
-  is then refetched with its prediction suppressed.
+  still in the ROB with its source producers — whose registers cannot
+  have been freed while it is in flight — so it takes a register and
+  re-dispatches, together with the transitive chain of eliminated
+  producers it read from.  When the free count cannot cover the chain,
+  recovery falls back to a **flush**: a walk from the window's tail
+  restores rename mappings back to the oldest chain member, which is
+  then refetched with its prediction suppressed.
 * A token whose producer already *committed* (necessarily verified
   dead) can be re-exposed in the RAT by a flush that rolls back past
   the overwriter.  Any instruction subsequently renaming that token as
@@ -57,7 +69,7 @@ Soundness invariants of the elimination machinery (DESIGN.md §5.6):
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -78,55 +90,6 @@ _INF = 1 << 60
 _FU_ALU, _FU_MUL, _FU_DIV, _FU_MEM, _FU_BRANCH = range(5)
 
 _NUM_ARCH = 32
-
-
-class InFlight:
-    """One in-flight instruction (ROB entry)."""
-
-    __slots__ = ("seq", "tidx", "sidx", "pc", "fu", "srcs", "src_tokens",
-                 "token_readers", "arch_dest", "new_preg", "old_preg",
-                 "is_load", "is_store", "mispredict", "eliminated",
-                 "verified", "verifies", "verified_by", "done_at",
-                 "squashed", "committed", "recovered", "stall_cycles")
-
-    def __init__(self, seq: int, tidx: int, sidx: int, pc: int, fu: int,
-                 srcs: List[int], src_tokens: List["InFlight"],
-                 arch_dest: int, old_preg, new_preg: Optional[int],
-                 is_load: bool, is_store: bool, mispredict: int,
-                 eliminated: bool):
-        self.seq = seq
-        self.tidx = tidx
-        self.sidx = sidx
-        self.pc = pc
-        self.fu = fu
-        self.srcs = srcs
-        self.src_tokens = src_tokens
-        self.token_readers: List["InFlight"] = []
-        self.arch_dest = arch_dest
-        self.old_preg = old_preg  # int or InFlight token; None: no dest
-        self.new_preg = new_preg
-        self.is_load = is_load
-        self.is_store = is_store
-        self.mispredict = mispredict
-        self.eliminated = eliminated
-        self.verified = False
-        self.verifies: Optional["InFlight"] = None
-        self.verified_by: Optional["InFlight"] = None
-        self.done_at = _INF
-        self.squashed = False
-        self.committed = False
-        self.recovered = False
-        self.stall_cycles = 0
-
-    def commit_ready(self) -> bool:
-        """May this verified eliminated instruction commit?"""
-        if not self.verified:
-            return False
-        for reader in self.token_readers:
-            if reader.eliminated and not (reader.verified
-                                          or reader.squashed):
-                return False
-        return True
 
 
 @dataclass
@@ -152,10 +115,11 @@ def _decode_statics(statics: StaticTable,
                     elim: Optional[EliminationEngine],
                     eliminate_stores: bool) -> List[tuple]:
     """One tuple of rename-time facts per static instruction:
-    ``(pc, dest, src1, src2, is_load, is_store, is_mem, fu, slot_base,
-    slot_tag)``.  ``slot_base`` is None where rename does not consult
-    the dead predictor: everywhere without elimination, else everywhere
-    but eligible instructions and (with ``eliminate_stores``) stores."""
+    ``(pc, dest, sources, is_load, is_store, is_mem, fu, slot_base,
+    slot_tag)``, where ``sources`` holds the nonzero source registers.
+    ``slot_base`` is None where rename does not consult the dead
+    predictor: everywhere without elimination, else everywhere but
+    eligible instructions and (with ``eliminate_stores``) stores."""
     is_load = statics.is_load
     is_store = statics.is_store
     is_mem = [load or store for load, store in zip(is_load, is_store)]
@@ -163,6 +127,8 @@ def _decode_statics(statics: StaticTable,
           else _FU_BY_OPCODE.get(opcode, _FU_ALU)
           for mem, branch, opcode in zip(is_mem, statics.is_branch,
                                          statics.opcode)]
+    sources = [tuple(src for src in pair if src > 0)
+               for pair in zip(statics.src1, statics.src2)]
     if elim is None:
         slot_base = slot_tag = [None] * len(statics)
     else:
@@ -173,8 +139,8 @@ def _decode_statics(statics: StaticTable,
         slot_tag = elim.slot_tag
     return list(zip([instruction.pc
                      for instruction in statics.program.instructions],
-                    statics.dest, statics.src1, statics.src2, is_load,
-                    is_store, is_mem, fu, slot_base, slot_tag))
+                    statics.dest, sources, is_load, is_store, is_mem, fu,
+                    slot_base, slot_tag))
 
 
 def _control_flags(trace: Trace, statics: StaticTable,
@@ -259,18 +225,18 @@ class Simulator:
         stats = self.stats
         statics = self.statics
         addrs = trace.addrs
-        static_idx = trace.static_indices()
+        static_idx = self._static_idx = trace.static_indices()
         n = len(trace.pcs)
 
         elim = self.elimination
-        decoded = _decode_statics(statics, elim, config.eliminate_stores)
+        decoded = self._decoded = _decode_statics(statics, elim,
+                                                  config.eliminate_stores)
         s_cond = statics.is_cond_branch
         latencies = (config.alu_latency, config.mul_latency,
                      config.div_latency, config.agen_latency,
                      config.branch_latency)
         mispredict_flags = self._mispredict
         ends_group = self._ends_group
-        use_replay = config.recovery_mode == "replay"
         timeline = self.timeline
         l1d_access = self.l1d.access
 
@@ -287,33 +253,54 @@ class Simulator:
             lookup_paths = elim.predicted_path
             train_paths = elim.actual_path
             dead_labels = elim.dead_labels
-            # Per static: the slot base commit trains at, or None.
-            train_base = [static[8] for static in decoded]
-            train_tag = elim.slot_tag
             blacklist = elim.blacklist
             strikes = elim.strikes
             max_strikes = elim.max_strikes
             note_success = elim.note_success
 
-        # Rename state: merged physical register file.
-        rat: List[object] = list(range(_NUM_ARCH))
+        # Per-instance state, indexed by trace index (index n is the
+        # initial value of every architectural register).  A flush
+        # resets the squashed indices; rename writes only what differs
+        # from that reset state.
+        #: completion cycle: _INF until issued
+        done_at = self._done_at = [_INF] * (n + 1)
+        done_at[n] = 0
+        #: predicted dead and not (yet) replayed
+        eliminated = self._eliminated = bytearray(n + 1)
+        #: eliminated and overwritten (read only while eliminated)
+        verified = self._verified = bytearray(n + 1)
+        #: holds a physical register (live, or replayed, with a dest)
+        holds = self._holds = bytearray(n + 1)
+        holds[n] = 1
+        #: replayed: trained "live" at recovery, not again at commit
+        recovered = self._recovered = bytearray(n + 1)
+        #: the producer this instruction's destination renamed over
+        old_of = self._old_of = array("l", [n]) * n
+        # In-flight eliminated instances only (commit, replay and
+        # flush drop their entries):
+        #: eliminated instance -> (register sources, token sources)
+        token_srcs = self._token_srcs = {}
+        #: eliminated producer -> the eliminated readers of its token
+        token_readers = self._token_readers = {}
+        #: eliminated ROB head -> cycles it waited for verification
+        stall_cycles = self._stall_cycles = {}
+
+        rat = [n] * _NUM_ARCH
         # The replay reserve is additional storage brought by the
         # elimination hardware itself; rename never sees it, so the
         # baseline and elimination configurations expose identical
         # renaming headroom.
         preg_reserve = (config.replay_reserve_pregs
                         if config.eliminate else 0)
-        total_pregs = config.phys_regs + preg_reserve
-        free_list = deque(range(_NUM_ARCH, total_pregs))
-        ready_at = [0] * total_pregs
+        free = config.phys_regs + preg_reserve - _NUM_ARCH
 
-        rob: deque = deque()
-        iq: List[InFlight] = []
+        # IQ entries: (sources, tidx, fu, is_load, dest), oldest first.
+        iq: List[tuple] = []
         lsq_used = 0
-        # The fetch buffer is always the contiguous trace window
-        # [fq_head, fq_tail): fetch appends at the tail, rename
-        # consumes at the head, a flush collapses both to the refetch
-        # point.  Two ints replace the old per-instruction deque.
+        # The fetch buffer is the trace window [fq_head, fq_tail) and
+        # the ROB the window [committed, fq_head): rename moves an
+        # instruction from one to the other, commit retires the oldest,
+        # a flush collapses both ends to the refetch point.
         fq_head = 0
         fq_tail = 0
         fetch_buffer_cap = 3 * config.fetch_width
@@ -321,7 +308,6 @@ class Simulator:
         fetch_resume = 0
         rename_blocked_until = 0
         committed = 0
-        seq = 0
         cycle = 0
 
         fu_limits = (config.alu_units, config.mul_units, config.div_units,
@@ -340,6 +326,8 @@ class Simulator:
         rf_read_ports = config.rf_read_ports
         verify_timeout = config.verify_timeout
         redirect_penalty = config.redirect_penalty
+        replay_penalty = config.replay_penalty
+        recovery_penalty = config.recovery_penalty
 
         # Hot event counters live in locals and are added to ``stats``
         # at the end; the recovery paths count on ``stats`` directly.
@@ -355,61 +343,59 @@ class Simulator:
 
             # ---- commit ----
             commits = 0
-            while rob and commits < commit_width:
-                head = rob[0]
-                if head.eliminated:
-                    if not head.commit_ready():
+            while committed < fq_head and commits < commit_width:
+                tidx = committed
+                if eliminated[tidx]:
+                    if not self._commit_ready(tidx):
                         verify_stalls += 1
-                        head.stall_cycles += 1
-                        if head.stall_cycles > verify_timeout:
+                        stalls = stall_cycles[tidx] = \
+                            stall_cycles.get(tidx, 0) + 1
+                        if stalls > verify_timeout:
                             stats.timeout_recoveries += 1
-                            chain = self._collect_chain(head)
-                            new_lsq = None
-                            if use_replay:
-                                new_lsq = self._try_replay(
-                                    chain, iq, rat, free_list, ready_at,
-                                    lsq_used)
-                            if new_lsq is not None:
-                                lsq_used = new_lsq
+                            free, lsq_used, refetch = self._recover(
+                                tidx, iq, rat, free, lsq_used, committed,
+                                fq_head)
+                            if refetch < 0:
                                 rename_blocked_until = max(
                                     rename_blocked_until,
-                                    cycle + config.replay_penalty)
+                                    cycle + replay_penalty)
                             else:
-                                self._flush(chain[0], rob, iq, rat,
-                                            free_list)
-                                fq_head = fq_tail = chain[0].tidx
-                                fetch_resume = cycle + \
-                                    config.recovery_penalty
-                                lsq_used = self._recount_lsq(rob)
+                                fq_head = fq_tail = refetch
+                                fetch_resume = cycle + recovery_penalty
                         break
-                elif head.done_at > cycle:
+                    pc, dest, _, _, _, _, _, base, tag = \
+                        decoded[static_idx[tidx]]
+                    del token_srcs[tidx]
+                    token_readers.pop(tidx, None)
+                    stall_cycles.pop(tidx, None)
+                elif done_at[tidx] > cycle:
                     break
-                elif head.is_store:
-                    dcache_accesses += 1
-                    l1d_access(addrs[head.tidx])
-                    lsq_used -= 1
-                elif head.is_load:
-                    lsq_used -= 1
-                rob.popleft()
-                head.committed = True
-                if head.arch_dest:
-                    old = head.old_preg
-                    if old.__class__ is int:
-                        free_list.append(old)
-                        preg_frees += 1
-                    # Token old mapping: the eliminated producer had no
-                    # physical register -- a saved allocation and free.
+                else:
+                    # Still ready for every later reader, and the column
+                    # keeps no int object alive per committed instance.
+                    done_at[tidx] = 0
+                    pc, dest, _, is_load, is_store, _, _, base, tag = \
+                        decoded[static_idx[tidx]]
+                    if is_store:
+                        dcache_accesses += 1
+                        l1d_access(addrs[tidx])
+                        lsq_used -= 1
+                    elif is_load:
+                        lsq_used -= 1
+                committed += 1
+                # An eliminated producer held no register: an
+                # overwritten token is a saved allocation and free.
+                if dest and holds[old_of[tidx]]:
+                    free += 1
+                    preg_frees += 1
                 # Instructions that forced a recovery already trained
                 # "live" there; training them dead again at commit
                 # would re-arm the same costly prediction.
-                if elim is not None and not head.recovered:
-                    if head.eliminated:
-                        note_success(head.pc)
-                    base = train_base[head.sidx]
+                if elim is not None and not recovered[tidx]:
+                    if eliminated[tidx]:
+                        note_success(pc)
                     if base is not None:
-                        tidx = head.tidx
                         slot = base ^ (train_paths[tidx] << path_shift)
-                        tag = train_tag[head.sidx]
                         if tags[slot] != tag:
                             if dead_labels[tidx]:
                                 tags[slot] = tag
@@ -419,7 +405,6 @@ class Simulator:
                                 confs[slot] += 1
                         else:
                             confs[slot] = 0
-                committed += 1
                 commits += 1
                 if elim is not None and not committed & 1023:
                     elim.decay_strikes()
@@ -432,15 +417,15 @@ class Simulator:
             if iq:
                 fu_used = [0, 0, 0, 0, 0]
                 rf_reads_left = rf_read_ports
-                remaining: List[InFlight] = []
+                remaining: List[tuple] = []
                 for entry in iq:
-                    for preg in entry.srcs:
-                        if ready_at[preg] > cycle:
+                    for producer in entry[0]:
+                        if done_at[producer] > cycle:
                             remaining.append(entry)
                             break
                     else:
-                        fu = entry.fu
-                        reads = len(entry.srcs)
+                        srcs, tidx, fu, is_load, dest = entry
+                        reads = len(srcs)
                         if (issued >= issue_width
                                 or fu_used[fu] >= fu_limits[fu]
                                 or reads > rf_reads_left):
@@ -451,15 +436,14 @@ class Simulator:
                         rf_reads += reads
                         issued += 1
                         latency = latencies[fu]
-                        if entry.is_load:
+                        if is_load:
                             dcache_accesses += 1
-                            latency += l1d_access(addrs[entry.tidx])
-                        done_at = entry.done_at = cycle + latency
-                        if entry.new_preg is not None:
-                            ready_at[entry.new_preg] = done_at
+                            latency += l1d_access(addrs[tidx])
+                        done = done_at[tidx] = cycle + latency
+                        if dest:
                             rf_writes += 1
-                        if entry.mispredict:
-                            fetch_resume = done_at + redirect_penalty
+                        if mispredict_flags[tidx]:
+                            fetch_resume = done + redirect_penalty
                 iq = remaining
 
             # ---- rename / dispatch ----
@@ -467,119 +451,100 @@ class Simulator:
             flush_fired = False
             while (renamed < rename_width and fq_head < fq_tail
                    and cycle >= rename_blocked_until):
-                if len(rob) >= rob_size:
+                if fq_head - committed >= rob_size:
                     stalls_rob += 1
                     break
                 tidx = fq_head
-                sidx = static_idx[tidx]
-                (pc, dest, src1, src2, is_load, is_store, is_mem, fu,
-                 base, tag) = decoded[sidx]
+                (pc, dest, sources, is_load, is_store, is_mem, fu,
+                 base, tag) = decoded[static_idx[tidx]]
 
                 # The dead-predictor lookup comes before the stall
                 # checks: a stalled instruction is predicted again on
                 # its next rename attempt, and each attempt counts.
-                eliminated = False
+                dead = False
                 if base is not None:
                     elim_predictions += 1
                     if tidx not in blacklist and \
                             strikes.get(pc, 0) < max_strikes:
                         slot = base ^ (lookup_paths[tidx] << path_shift)
-                        eliminated = (tags[slot] == tag
-                                      and confs[slot] >= threshold)
+                        dead = (tags[slot] == tag
+                                and confs[slot] >= threshold)
 
-                if not eliminated:
+                if not dead:
                     if len(iq) >= iq_size:
                         stalls_iq += 1
                         break
                     if is_mem and lsq_used >= lsq_size:
                         stalls_lsq += 1
                         break
-                    if dest and len(free_list) <= preg_reserve:
+                    if dest and free <= preg_reserve:
                         stalls_preg += 1
                         break
 
                 # Read source mappings.  A live consumer finding a
                 # squashed token is the dead-misprediction detector.
                 srcs: List[int] = []
-                src_tokens: List[InFlight] = []
-                dead_producer: Optional[InFlight] = None
-                for src in (src1, src2):
-                    if src <= 0:
-                        continue
-                    mapping = rat[src]
-                    if mapping.__class__ is int:
-                        srcs.append(mapping)
-                    elif mapping.committed:
+                tokens: List[int] = []
+                dead_producer = -1
+                for src in sources:
+                    producer = rat[src]
+                    if holds[producer]:
+                        srcs.append(producer)
+                    elif producer < committed:
                         # Verified-dead producer re-exposed by a flush:
                         # this consumer is itself dead, the value is
                         # architectural garbage (sound, see module
                         # docstring).
                         continue
-                    elif eliminated:
-                        src_tokens.append(mapping)
+                    elif dead:
+                        tokens.append(producer)
                     else:
-                        dead_producer = mapping
+                        dead_producer = producer
                         break
 
-                if dead_producer is not None:
+                if dead_producer >= 0:
                     stats.reader_recoveries += 1
-                    chain = self._collect_chain(dead_producer)
-                    new_lsq = None
-                    if use_replay:
-                        new_lsq = self._try_replay(chain, iq, rat,
-                                                   free_list, ready_at,
-                                                   lsq_used)
-                    if new_lsq is not None:
-                        lsq_used = new_lsq
-                        rename_blocked_until = cycle + \
-                            config.replay_penalty
+                    free, lsq_used, refetch = self._recover(
+                        dead_producer, iq, rat, free, lsq_used, committed,
+                        fq_head)
+                    if refetch < 0:
                         # The consumer renames once the stall expires.
+                        rename_blocked_until = cycle + replay_penalty
                         break
-                    self._flush(chain[0], rob, iq, rat, free_list)
-                    fq_head = fq_tail = chain[0].tidx
-                    fetch_resume = cycle + config.recovery_penalty
-                    lsq_used = self._recount_lsq(rob)
+                    fq_head = fq_tail = refetch
+                    fetch_resume = cycle + recovery_penalty
                     flush_fired = True
                     break
 
-                old = new_preg = None
                 if dest:
                     old = rat[dest]
-                    if not eliminated:
-                        new_preg = free_list.popleft()
-                        ready_at[new_preg] = _INF
-                        preg_allocs += 1
-                entry = InFlight(seq, tidx, sidx, pc, fu, srcs, src_tokens,
-                                 dest, old, new_preg, is_load, is_store,
-                                 mispredict_flags[tidx], eliminated)
-                seq += 1
-
-                if dest:
-                    if old.__class__ is InFlight and not old.committed \
-                            and old.eliminated and not old.verified:
+                    old_of[tidx] = old
+                    if eliminated[old] and old >= committed \
+                            and not verified[old]:
                         # Overwriting a squashed mapping verifies that
                         # the eliminated producer really was dead.
-                        old.verified = True
-                        old.verified_by = entry
-                        entry.verifies = old
-                    rat[dest] = entry if eliminated else new_preg
-                elif eliminated and is_store:
+                        verified[old] = 1
+                    rat[dest] = tidx
+
+                if dead:
+                    eliminated_count += 1
+                    eliminated[tidx] = 1
                     # An eliminated store poisons no rename mapping; its
                     # deadness is verified by the overwriting store in
                     # the memory-order queue, which this timing model
                     # treats as immediate.
-                    entry.verified = True
-
-                if eliminated:
-                    eliminated_count += 1
-                    entry.done_at = cycle  # never executes
-                    for token in src_tokens:
-                        token.token_readers.append(entry)
+                    verified[tidx] = is_store and not dest
+                    token_srcs[tidx] = (srcs, tokens)
+                    for token in tokens:
+                        token_readers.setdefault(token, []).append(tidx)
                 else:
-                    iq.append(entry)
+                    if dest:
+                        holds[tidx] = 1
+                        free -= 1
+                        preg_allocs += 1
+                    iq.append((srcs, tidx, fu, is_load, dest))
                     if is_mem:
                         lsq_used += 1
-                rob.append(entry)
                 fq_head += 1
                 renamed += 1
             if flush_fired:
@@ -605,9 +570,10 @@ class Simulator:
                         break
 
             if timeline is not None and cycle >= timeline.next_due:
-                timeline.record(cycle, len(rob), len(iq), lsq_used,
-                                fq_tail - fq_head, renamed, issued,
-                                commits, committed, eliminated_count,
+                timeline.record(cycle, fq_head - committed, len(iq),
+                                lsq_used, fq_tail - fq_head, renamed,
+                                issued, commits, committed,
+                                eliminated_count,
                                 stats.reader_recoveries
                                 + stats.timeout_recoveries, fq_tail)
             cycle += 1
@@ -637,122 +603,155 @@ class Simulator:
         if timeline is not None:
             # A closing sample so the timeline always reaches the end
             # of the run, whatever the sampling grid.
-            timeline.record(stats.cycles - 1, len(rob), len(iq),
-                            lsq_used, fq_tail - fq_head, 0, 0, 0,
+            timeline.record(stats.cycles - 1, fq_head - committed,
+                            len(iq), lsq_used, fq_tail - fq_head, 0, 0, 0,
                             committed, stats.eliminated,
                             stats.recoveries, fq_tail)
             result.timeline = timeline.to_dict()
         return result
 
     # ------------------------------------------------------------------
-    # Recovery
+    # Verification and recovery
     # ------------------------------------------------------------------
 
-    def _collect_chain(self, target: InFlight) -> List[InFlight]:
+    def _commit_ready(self, tidx: int) -> bool:
+        """May this eliminated instruction commit?  Verified, and every
+        eliminated reader of its token verified too."""
+        verified = self._verified
+        if not verified[tidx]:
+            return False
+        eliminated = self._eliminated
+        for reader in self._token_readers.get(tidx, ()):
+            if eliminated[reader] and not verified[reader]:
+                return False
+        return True
+
+    def _drop_reader(self, reader: int, tokens: List[int]) -> None:
+        """*reader* no longer reads *tokens* (it replayed or was
+        squashed); a committed token's reader list is already gone."""
+        for token in tokens:
+            readers = self._token_readers.get(token)
+            if readers is not None:
+                readers.remove(reader)
+
+    def _recover(self, target: int, iq: List[tuple], rat: List[int],
+                 free: int, lsq_used: int, committed: int,
+                 fq_head: int) -> Tuple[int, int, int]:
+        """Materialize eliminated *target*'s value: replay its chain,
+        or (flush mode, or too few free registers) flush back to the
+        chain's oldest member.  Returns the new free count and LSQ
+        occupancy, and the refetch point of a flush (-1 after a
+        replay)."""
+        chain = self._collect_chain(target, committed)
+        if self.config.recovery_mode == "replay":
+            needed = sum(1 for tidx in chain
+                         if self._decoded[self._static_idx[tidx]][1])
+            # Without registers the values cannot be materialized; a
+            # flush frees plenty.
+            if needed <= free:
+                return self._replay(chain, iq, free, lsq_used) + (-1,)
+        return self._flush(chain[0], iq, rat, free, lsq_used, committed,
+                           fq_head) + (chain[0],)
+
+    def _collect_chain(self, target: int, committed: int) -> List[int]:
         """The eliminated instructions that must re-execute to
         materialize *target*'s value: target plus, transitively, every
         still-eliminated, uncommitted producer it read a token from.
-        Sorted oldest first; every member is in the ROB (guaranteed by
-        the commit gating, see module docstring)."""
-        chain: List[InFlight] = []
+        Oldest first; every member is in the ROB (guaranteed by the
+        commit gating, see module docstring)."""
+        eliminated = self._eliminated
+        token_srcs = self._token_srcs
+        chain: List[int] = []
         seen = set()
 
-        def visit(entry: InFlight) -> None:
-            if id(entry) in seen:
+        def visit(tidx: int) -> None:
+            if tidx in seen:
                 return
-            seen.add(id(entry))
-            for token in entry.src_tokens:
-                if token.committed or not token.eliminated:
-                    continue
-                visit(token)
-            chain.append(entry)
+            seen.add(tidx)
+            for token in token_srcs[tidx][1]:
+                if token >= committed and eliminated[token]:
+                    visit(token)
+            chain.append(tidx)
 
         visit(target)
-        chain.sort(key=lambda entry: entry.seq)
+        chain.sort()
         return chain
 
-    def _try_replay(self, chain: List[InFlight], iq: List[InFlight],
-                    rat: List[object], free_list: deque,
-                    ready_at: List[int], lsq_used: int) -> Optional[int]:
-        """Re-dispatch every chain member from the ROB; return the new
-        LSQ occupancy, or None when resources do not allow it (the
-        caller falls back to a flush)."""
+    def _replay(self, chain: List[int], iq: List[tuple], free: int,
+                lsq_used: int) -> Tuple[int, int]:
+        """Re-dispatch every chain member from the ROB, each taking a
+        register for its destination; returns the new free count and
+        LSQ occupancy.  Replay entries may transiently overflow the
+        IQ/LSQ: they re-enter from the ROB while rename is stalled for
+        ``replay_penalty`` cycles, so the structural overshoot is
+        bounded by the chain length and drains immediately."""
         stats = self.stats
-        pregs_needed = sum(1 for entry in chain if entry.arch_dest)
-        if pregs_needed > len(free_list):
-            # Without registers the values cannot be materialized;
-            # the caller falls back to a flush (which frees plenty).
-            return None
-        # Replay entries may transiently overflow the IQ/LSQ: they
-        # re-enter from the ROB while rename is stalled for
-        # replay_penalty cycles, so the structural overshoot is bounded
-        # by the chain length and drains immediately.
-
-        for entry in chain:
-            entry.eliminated = False
-            entry.verified = False
-            entry.done_at = _INF
-            if entry.arch_dest:
-                preg = free_list.popleft()
-                entry.new_preg = preg
-                ready_at[preg] = _INF
+        decoded = self._decoded
+        holds = self._holds
+        for tidx in chain:
+            pc, dest, _, is_load, _, is_mem, fu = \
+                decoded[self._static_idx[tidx]][:7]
+            self._eliminated[tidx] = 0
+            self._done_at[tidx] = _INF
+            if dest:
+                # The overwriter's commit frees this register.
+                holds[tidx] = 1
+                free -= 1
                 stats.preg_allocs += 1
-                if rat[entry.arch_dest] is entry:
-                    rat[entry.arch_dest] = preg
-                elif entry.verified_by is not None and \
-                        entry.verified_by.old_preg is entry:
-                    # Already renamed over: hand the register to the
-                    # overwriter's old-mapping slot so it is freed at
-                    # the overwriter's commit (no leak).
-                    entry.verified_by.old_preg = preg
-            # Wire up values from producers replayed in this chain.
-            for token in entry.src_tokens:
-                if token.new_preg is not None:
-                    entry.srcs.append(token.new_preg)
-            entry.src_tokens = []
-            iq.append(entry)
-            if entry.is_load or entry.is_store:
+            # Values from producers replayed in this chain (or
+            # earlier); a committed token stays garbage.
+            srcs, tokens = self._token_srcs.pop(tidx)
+            self._drop_reader(tidx, tokens)
+            self._stall_cycles.pop(tidx, None)
+            srcs = srcs + [token for token in tokens if holds[token]]
+            iq.append((srcs, tidx, fu, is_load, dest))
+            if is_mem:
                 lsq_used += 1
             stats.replayed += 1
-            entry.recovered = True
+            self._recovered[tidx] = 1
             if self.elimination is not None:
-                self.elimination.note_recovery(entry.tidx, entry.pc)
-        return lsq_used
+                self.elimination.note_recovery(tidx, pc)
+        return free, lsq_used
 
-    def _flush(self, target: InFlight, rob: deque, iq: List[InFlight],
-               rat: List[object], free_list: deque) -> None:
-        """Squash from the ROB tail back to and including *target*,
-        undoing rename mappings in reverse order; the caller resets the
-        fetch stream to the target's trace index."""
+    def _flush(self, target: int, iq: List[tuple], rat: List[int],
+               free: int, lsq_used: int, committed: int,
+               fq_head: int) -> Tuple[int, int]:
+        """Squash the window from its tail back to and including
+        *target*, restoring rename mappings in reverse order and
+        returning squashed registers; returns the new free count and
+        LSQ occupancy.  The caller refetches from *target*."""
         stats = self.stats
         stats.flush_recoveries += 1
-        while rob:
-            entry = rob[-1]
-            if entry.seq < target.seq:
-                break
-            rob.pop()
-            entry.squashed = True
+        decoded = self._decoded
+        eliminated = self._eliminated
+        holds = self._holds
+        token_readers = self._token_readers
+        for tidx in range(fq_head - 1, target - 1, -1):
             stats.squashed += 1
-            if entry.arch_dest:
-                rat[entry.arch_dest] = entry.old_preg
-                if entry.new_preg is not None:
-                    free_list.append(entry.new_preg)
-                    entry.new_preg = None
-            if entry.verifies is not None:
-                entry.verifies.verified = False
-                entry.verifies = None
+            _, dest, _, _, _, is_mem = decoded[self._static_idx[tidx]][:6]
+            if dest:
+                old = rat[dest] = self._old_of[tidx]
+                if eliminated[old] and old >= committed:
+                    # The squashed overwriter no longer verifies it.
+                    self._verified[old] = 0
+                if holds[tidx]:
+                    free += 1
+            if is_mem and not eliminated[tidx]:
+                lsq_used -= 1
+            sources = self._token_srcs.pop(tidx, None)
+            if sources is not None:
+                self._drop_reader(tidx, sources[1])
+            token_readers.pop(tidx, None)
+            self._stall_cycles.pop(tidx, None)
+            eliminated[tidx] = holds[tidx] = self._recovered[tidx] = 0
+            self._done_at[tidx] = _INF
         # Every IQ entry is in the ROB, so the walk above squashed the
         # younger ones; drop them from the issue scan.
-        iq[:] = [entry for entry in iq if entry.seq < target.seq]
-        target.recovered = True
+        iq[:] = [entry for entry in iq if entry[1] < target]
         if self.elimination is not None:
-            self.elimination.note_recovery(target.tidx, target.pc)
-
-    @staticmethod
-    def _recount_lsq(rob: deque) -> int:
-        return sum(1 for entry in rob
-                   if (entry.is_load or entry.is_store)
-                   and not entry.eliminated)
+            self.elimination.note_recovery(
+                target, decoded[self._static_idx[target]][0])
+        return free, lsq_used
 
 
 def simulate(trace: Trace, config: MachineConfig = None,

@@ -43,6 +43,32 @@ def pytest_runtest_protocol(item, nextitem):
         faulthandler.cancel_dump_traceback_later()
 
 
+#: the run log that a CLI run without ``--cache-dir`` appends to, in
+#: the directory the tests were started from
+_CHECKOUT_RUN_LOG = os.path.abspath(
+    os.path.join(".repro-cache", "runs", "history.jsonl"))
+
+
+def _checkout_run_log_size() -> int:
+    try:
+        return os.path.getsize(_CHECKOUT_RUN_LOG)
+    except OSError:
+        return 0
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _checkout_run_log_untouched():
+    """No test may record a run in the working directory's
+    ``.repro-cache``: a test that runs the CLI names a temporary
+    ``--cache-dir`` or passes ``--no-meta``."""
+    before = _checkout_run_log_size()
+    yield
+    grown = _checkout_run_log_size() - before
+    if grown:
+        pytest.fail("the tests appended %d bytes of run records to %s"
+                    % (grown, _CHECKOUT_RUN_LOG), pytrace=False)
+
+
 @pytest.fixture(autouse=True)
 def _no_leaking_faults():
     """Fault injection is process-global state; never let one test's

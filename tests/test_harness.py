@@ -128,10 +128,11 @@ def test_a3_replay_beats_flush():
     assert replay > flush
 
 
-def test_cli_runs_selected(capsys):
+def test_cli_runs_selected(capsys, tmp_path):
     from repro.harness.cli import main
 
-    assert main(["F1", "--scale", "0.3"]) == 0
+    assert main(["F1", "--scale", "0.3",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
     captured = capsys.readouterr()
     assert "F1" in captured.out
     assert "suite" in captured.out

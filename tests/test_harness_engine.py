@@ -278,6 +278,112 @@ class TestTimingStage:
         assert "timing" not in engine.stats.counts
 
 
+def count_simulations(monkeypatch, path=None):
+    """Count the real simulations behind the timing stage: a list of
+    their register counts, or, for forked pool workers, one line per
+    simulation appended to *path*."""
+    from repro.harness import engine as engine_module
+
+    calls = []
+    real = engine_module.simulate
+
+    def counting(trace, config, analysis=None):
+        calls.append(config.phys_regs)
+        if path is not None:
+            with open(path, "a") as stream:
+                stream.write("%d\n" % config.phys_regs)
+        return real(trace, config, analysis)
+
+    monkeypatch.setattr(engine_module, "simulate", counting)
+    return calls
+
+
+class TestRegisterReuse:
+    """A larger-register config is served from a run that never waited
+    on its free registers (``engine._timing_stage``)."""
+
+    CELL = dict(workload="sort", scale=0.2)
+
+    def e2_pair(self, smaller, eliminate):
+        """E2's (smaller, 160-register) configs; on sort at scale 0.2
+        the 104-register runs never wait on registers, the 44-register
+        runs do."""
+        return (contended_config(phys_regs=smaller, eliminate=eliminate),
+                contended_config(phys_regs=160, eliminate=eliminate))
+
+    def answer(self, engine, artifact, config):
+        return engine.simulate(artifact.trace, config, artifact.analysis,
+                               trace_key=artifact.trace_key)
+
+    @pytest.mark.parametrize("eliminate", [False, True])
+    @pytest.mark.parametrize("smaller, simulations", [(104, 1), (44, 2)])
+    def test_served_only_from_a_certified_run(self, tmp_path, monkeypatch,
+                                              smaller, simulations,
+                                              eliminate):
+        from repro.harness.engine import _certifies
+        from repro.pipeline import simulate
+
+        calls = count_simulations(monkeypatch)
+        engine = make_engine(tmp_path)
+        artifact = engine.run_cells([spec(**self.CELL)])[0]
+        small, large = self.e2_pair(smaller, eliminate)
+        first = self.answer(engine, artifact, small)
+        assert _certifies(first) == (smaller == 104)
+        served = self.answer(engine, artifact, large)
+        assert len(calls) == simulations
+        assert engine.stats.misses("timing") == 2
+        direct = simulate(artifact.trace, large, artifact.analysis)
+        assert served.config == large
+        assert served.stats == direct.stats
+        assert (served.l1d_misses, served.l2_misses) == \
+            (direct.l1d_misses, direct.l2_misses)
+
+        hot = make_engine(tmp_path)
+        hot_artifact = hot.run_cells([spec(**self.CELL)])[0]
+        again = self.answer(hot, hot_artifact, large)
+        assert hot.stats.hits("timing") == 1
+        assert len(calls) == simulations
+        assert again.config == large and again.stats == direct.stats
+
+    def test_served_span_says_reused(self, tmp_path, monkeypatch):
+        from repro.obs import ObsConfig, configure_obs, reset_obs
+
+        calls = count_simulations(monkeypatch)
+        engine = make_engine(tmp_path)
+        artifact = engine.run_cells([spec(**self.CELL)])[0]
+        collector = configure_obs(ObsConfig())
+        try:
+            for config in self.e2_pair(104, True):
+                self.answer(engine, artifact, config)
+        finally:
+            reset_obs()
+        timing = [span.attrs for span in collector.tracer.spans
+                  if span.name == "stage:timing"]
+        assert [attrs.get("reused", False) for attrs in timing] == \
+            [False, True]
+        assert [attrs["hit"] for attrs in timing] == [False, False]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("smaller, simulations", [(104, 1), (44, 2)])
+    def test_prefetch_batch_serves_too(self, tmp_path, monkeypatch,
+                                       smaller, simulations):
+        from repro.pipeline import simulate
+
+        log = tmp_path / "simulations.log"
+        count_simulations(monkeypatch, path=str(log))
+        engine = make_engine(tmp_path, jobs=2)
+        artifact = engine.run_cells([spec(**self.CELL)])[0]
+        small, large = self.e2_pair(smaller, True)
+        engine.prefetch_simulations([(artifact, small),
+                                     (artifact, large)])
+        assert len(log.read_text().split()) == simulations
+        served = self.answer(engine, artifact, large)
+        assert engine.stats.misses("timing") == 0
+        assert served.config == large
+        assert served.stats == simulate(artifact.trace, large,
+                                        artifact.analysis).stats
+
+
 class TestSmoke:
     def test_hot_rerun_performs_zero_compile_or_trace_work(self,
                                                            tmp_path):

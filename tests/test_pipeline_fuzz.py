@@ -8,10 +8,13 @@ corner cases in the elimination machinery (replay under starvation,
 flush fallbacks, verified commit) that the curated configs never hit.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.analysis import analyze_deadness
+from repro.harness.engine import _certifies
 from repro.pipeline import default_config, simulate
 from repro.workloads import get_workload
 
@@ -80,3 +83,22 @@ def test_simulation_is_reproducible(fuzz_run, overrides):
     assert first.stats.cycles == second.stats.cycles
     assert first.stats.rf_reads == second.stats.rf_reads
     assert first.stats.eliminated == second.stats.eliminated
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(configs, st.integers(1, 96))
+def test_more_registers_change_nothing_after_no_register_wait(
+        fuzz_run, overrides, extra):
+    """The timing stage's reuse rule: a run that never stalled rename
+    on the free registers and never flushed reads the free count
+    nowhere, so any config with more ``phys_regs`` runs identically."""
+    trace, analysis = fuzz_run
+    config = default_config(**overrides)
+    first = simulate(trace, config, analysis)
+    assume(_certifies(first))
+    more = simulate(trace, replace(config, phys_regs=config.phys_regs
+                                   + extra), analysis)
+    assert more.stats == first.stats
+    assert (more.l1d_misses, more.l2_misses) == \
+        (first.l1d_misses, first.l2_misses)

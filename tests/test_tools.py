@@ -151,7 +151,8 @@ class TestHarnessJson:
         from repro.harness.cli import main as harness_main
 
         target = tmp_path / "results.json"
-        assert harness_main(["T1", "--json", str(target)]) == 0
+        assert harness_main(["T1", "--json", str(target), "--cache-dir",
+                             str(tmp_path / "cache")]) == 0
         payload = json.loads(target.read_text())
         assert "T1" in payload["experiments"]
         assert payload["experiments"]["T1"]["tables"][0]["rows"]
