@@ -66,7 +66,6 @@ __all__ = [
     "ARTIFACT_SCHEMA",
     "ArtifactHandle",
     "ArtifactPlane",
-    "ArtifactUnavailable",
     "ColumnBundle",
     "CorruptArtifact",
     "MAGIC",
@@ -111,12 +110,6 @@ _TOC_SCAN_LIMIT = 1 << 20
 
 class CorruptArtifact(Exception):
     """A bundle file exists but fails integrity verification."""
-
-
-class ArtifactUnavailable(Exception):
-    """A shipped :class:`ArtifactHandle` could not be re-attached
-    (file vanished, quarantined, or checksum changed); callers fall
-    back to the pickle tier."""
 
 
 def artifact_key(kind: str, parent_key: str) -> str:

@@ -24,6 +24,10 @@ One helper, :func:`_cached`, serves every stage in the parent and in
 pool workers; ``predict`` lives in :mod:`repro.harness.sweep`, next to
 the walk it caches.  A materialized cell is one :class:`CellArtifact`,
 owned by the engine: :meth:`Engine.suite` memoizes cells per engine.
+A cell's keys, output, length and analysis counts are set when it is
+materialized; its program, static table and columns load on first use
+(:func:`_materialize_payload`), so a pass whose results all come from
+stage hits reads only what it renders.
 
 Independent cells fan out across a ``multiprocessing`` pool
 (``jobs > 1``) with deterministic result ordering (input order, not
@@ -265,8 +269,9 @@ class CellSpec:
 
 @dataclass
 class CellArtifact:
-    """Everything one cell produced, reconstructed as native objects:
-    the one record of a materialized cell."""
+    """Everything one cell produced, as native objects: the one record
+    of a materialized cell.  Its trace and analysis load their program
+    and columns on first use (:func:`_materialize_payload`)."""
 
     spec: CellSpec
     trace: Trace
@@ -318,9 +323,9 @@ def _bytes_to_bools(blob: bytes) -> List[bool]:
 #: trace_key -> (Program, StaticTable); one assemble + static-table
 #: build per distinct program per process.  The trace key names the
 #: workload and its assembly, so cells whose options compile to the
-#: same program share one entry.  Both the payload computation and the
-#: parent-side materialization need them — this keeps the shared cost
-#: out of every per-cell path (the objects are immutable in use).
+#: same program share one entry.  The payload computation needs them
+#: to emulate, backfill the plane or analyze, and a cell on first use
+#: of its program or static table (the objects are immutable in use).
 _PROGRAM_MEMO: Dict[str, Tuple["object", "object"]] = {}
 
 
@@ -331,6 +336,23 @@ def _program_for(trace_key: str, asm: str, name: str):
         program = assemble(asm, name=name)
         entry = (program, StaticTable(program))
         _PROGRAM_MEMO[trace_key] = entry
+    return entry
+
+
+#: (workload, scale) -> (source, reference output).  Cells of one
+#: workload under several compiler options share their inputs, and the
+#: generators behind them are deterministic: a pass draws them once.
+_INPUTS: Dict[Tuple[str, float], Tuple[str, List[object]]] = {}
+
+
+def _inputs_for(name: str, scale: float) -> Tuple[str, List[object]]:
+    """``(source, expected output)`` of workload *name* at *scale*,
+    memoized."""
+    entry = _INPUTS.get((name, scale))
+    if entry is None:
+        workload = get_workload(name)
+        entry = (workload.source(scale), workload.reference(scale))
+        _INPUTS[(name, scale)] = entry
     return entry
 
 
@@ -365,16 +387,16 @@ def _compute_cell_payload(spec: CellSpec,
     lists, and the returned payload carries
     :class:`~repro.harness.artifacts.ArtifactHandle` references
     (``"trace_artifact"``/``"analysis_artifact"``) instead of the
-    column data — the parent re-attaches the same bundles by checksum.
-    ``None`` forces the pickle tier.
+    column data — the cell re-attaches the same bundles by checksum on
+    first use of its columns.  ``None`` forces the pickle tier.  The
+    payload always carries the analysis counts.
     """
     if "worker.hang" in injected:
         time.sleep(faults.hang_seconds())
     if "worker.crash" in injected:
         raise faults.WorkerCrash(
             "injected worker crash in cell %s" % spec.describe())
-    workload = get_workload(spec.workload)
-    source = workload.source(spec.scale)
+    source, expected = _inputs_for(spec.workload, spec.scale)
     stages: Dict[str, Dict[str, object]] = {}
 
     # -- compile ------------------------------------------------------
@@ -394,9 +416,13 @@ def _compute_cell_payload(spec: CellSpec,
     # every stage chained from it.
     trace_key = stable_hash("trace", spec.workload, asm, str(MAX_STEPS),
                             stage_salt("trace"))
-    program, _statics = _program_for(trace_key, asm, spec.workload)
+
+    def program():
+        # Assembled only to emulate, to backfill the plane or to
+        # analyze: a hit on both stages needs no program.
+        return _program_for(trace_key, asm, spec.workload)[0]
+
     started = time.perf_counter()
-    expected = workload.reference(spec.scale)
     t_key = (artifacts.artifact_key("trace", trace_key)
              if plane is not None else None)
     pcs = taken = addrs = None
@@ -417,7 +443,7 @@ def _compute_cell_payload(spec: CellSpec,
                 bundle.close()
     if not hit:
         def emulate() -> Dict[str, object]:
-            machine, trace = run_program(program, max_steps=MAX_STEPS)
+            machine, trace = run_program(program(), max_steps=MAX_STEPS)
             if machine.output != expected:
                 raise AssertionError(
                     "workload %r produced %r, expected %r" % (
@@ -436,7 +462,7 @@ def _compute_cell_payload(spec: CellSpec,
             # Backfill the plane so the next attach (this process or
             # any sibling worker) reads the map instead of unpickling.
             trace_handle = artifacts.store_trace_bundle(
-                plane, t_key, program, pcs, taken, addrs, output)
+                plane, t_key, program(), pcs, taken, addrs, output)
     stages["trace"] = {"hit": hit,
                        "seconds": time.perf_counter() - started}
     n = trace_bundle.n if trace_bundle is not None else len(pcs)
@@ -456,11 +482,11 @@ def _compute_cell_payload(spec: CellSpec,
             if artifacts.is_analysis_bundle(a_bundle, n):
                 hit = True
                 analysis_handle = a_bundle.handle(a_key)
-            else:
-                a_bundle.close()
+                counts = artifacts.counts_from_bundle(a_bundle)
+            a_bundle.close()
     if not hit:
         def analyze() -> Dict[str, object]:
-            trace = Trace(program)
+            trace = Trace(program())
             if pcs is None:
                 # Trace came from the plane: hydrate its columns once
                 # for the analysis pass (the static-index column is
@@ -492,6 +518,8 @@ def _compute_cell_payload(spec: CellSpec,
                 fused_doc)
     stages["analysis"] = {"hit": hit,
                           "seconds": time.perf_counter() - started}
+    if trace_bundle is not None:
+        trace_bundle.close()
 
     payload: Dict[str, object] = {
         "compile_key": compile_key,
@@ -500,6 +528,7 @@ def _compute_cell_payload(spec: CellSpec,
         "asm": asm,
         "output": output,
         "n": n,
+        "counts": counts,
         "stages": stages,
     }
     if trace_handle is not None:
@@ -513,7 +542,6 @@ def _compute_cell_payload(spec: CellSpec,
     else:
         payload["dead"] = dead_blob
         payload["direct"] = direct_blob
-        payload["counts"] = counts
         payload["fused"] = fused_doc
     if "artifact.unpicklable" in injected:
         # Poison the result pipe: the pool's encoder fails to pickle
@@ -613,66 +641,146 @@ def _doc_to_fused(doc: Dict[str, object], dead: List[bool],
         counts=StaticCounts(totals=doc["totals"], deads=doc["deads"]))
 
 
-def _payload_to_artifact(spec: CellSpec,
-                         payload: Dict[str, object],
-                         plane: Optional[artifacts.ArtifactPlane] = None
-                         ) -> CellArtifact:
-    """Rebuild native Trace/DeadnessAnalysis objects from a payload.
-    Used identically for serial, pooled, and cache-hit paths so every
-    path yields bit-identical artifacts.
+class _OnFirstUse:
+    """An attribute of a materialized cell that loads on first read:
+    the read calls the named method of the instance's
+    :class:`_CellLoader`, which returns this attribute and the ones
+    loaded with it, and stores them in the instance ``__dict__``.  This
+    is a non-data descriptor, so later reads find the stored value
+    first and never pass through here: a loaded column is a plain
+    attribute."""
 
-    Payloads carrying artifact handles instead of column data hydrate
-    from the mmap-backed bundles; a handle that no longer attaches
-    (file vanished, quarantined, checksum changed, or *plane* is off)
-    raises :class:`~repro.harness.artifacts.ArtifactUnavailable` —
-    callers fall back to recomputing from the pickle tier
-    (:func:`_materialize_payload`)."""
-    program, statics = _program_for(payload["trace_key"],
-                                    payload["asm"], spec.workload)
-    trace = Trace(program)
-    t_handle = payload.get("trace_artifact")
-    if t_handle is None:
-        trace.pcs = payload["pcs"]
-        trace.taken = payload["taken"]
-        trace.addrs = payload["addrs"]
-    else:
-        bundle = (plane.attach_handle(t_handle)
-                  if plane is not None else None)
-        if bundle is None or not artifacts.is_trace_bundle(bundle):
-            raise artifacts.ArtifactUnavailable(
-                "trace bundle %s did not re-attach" % t_handle.key[:12])
-        trace.pcs = bundle.ints("pcs")
-        trace.taken = bundle.bools("taken")
-        trace.addrs = bundle.ints("addrs")
-        trace.artifact_bundle = bundle
-    a_handle = payload.get("analysis_artifact")
-    if a_handle is None:
-        counts = payload["counts"]
-        dead = _bytes_to_bools(payload["dead"])
-        direct = _bytes_to_bools(payload["direct"])
-        fused_doc = payload["fused"]
-    else:
-        a_bundle = (plane.attach_handle(a_handle)
-                    if plane is not None else None)
-        if a_bundle is None or not artifacts.is_analysis_bundle(
-                a_bundle, len(trace.pcs)):
-            raise artifacts.ArtifactUnavailable(
-                "analysis bundle %s did not re-attach"
-                % a_handle.key[:12])
-        counts = artifacts.counts_from_bundle(a_bundle)
-        dead = a_bundle.bools("dead")
-        direct = a_bundle.bools("direct")
-        fused_doc = artifacts.fused_doc_from_bundle(a_bundle)
-    analysis = DeadnessAnalysis(
-        trace=trace, statics=statics, dead=dead, direct=direct,
-        fused=_doc_to_fused(fused_doc, dead, direct, counts),
-        **counts)
-    return CellArtifact(
-        spec=spec, trace=trace, analysis=analysis,
-        output=payload["output"],
-        compile_key=payload["compile_key"],
-        trace_key=payload["trace_key"],
-        analysis_key=payload["analysis_key"])
+    def __init__(self, load: str):
+        self.load = load
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance.__dict__.update(getattr(instance._loader, self.load)())
+        return instance.__dict__[self.name]
+
+
+class _CellLoader:
+    """Loads what a materialized cell defers, from the payload that
+    materialized it: the assembled program and its static table, the
+    trace columns and the analysis columns.  A cell's trace and
+    analysis share one loader.
+
+    A plane handle that no longer attaches (file gone, quarantined,
+    checksum changed, or the plane off) recomputes the payload once
+    through the pickle tier, which itself falls back to emulation, and
+    counts one plane ``fallbacks``: a damaged plane can cost time but
+    never a result."""
+
+    def __init__(self, spec: CellSpec, payload: Dict[str, object],
+                 config: EngineConfig, cache: Optional[CacheDir],
+                 plane: Optional[artifacts.ArtifactPlane]):
+        self.spec = spec
+        self.payload = payload
+        self.config = config
+        self.cache = cache
+        self.plane = plane
+
+    def program(self) -> Dict[str, object]:
+        return {"program": _program_for(
+            self.payload["trace_key"], self.payload["asm"],
+            self.spec.workload)[0]}
+
+    def statics(self) -> Dict[str, object]:
+        return {"statics": _program_for(
+            self.payload["trace_key"], self.payload["asm"],
+            self.spec.workload)[1]}
+
+    def trace_columns(self) -> Dict[str, object]:
+        bundle = self._attach("trace_artifact", artifacts.is_trace_bundle)
+        if bundle is not None:
+            return {"pcs": bundle.ints("pcs"),
+                    "taken": bundle.bools("taken"),
+                    "addrs": bundle.ints("addrs"),
+                    "artifact_bundle": bundle, "_sidx": []}
+        payload = self.payload
+        return {"pcs": payload["pcs"], "taken": payload["taken"],
+                "addrs": payload["addrs"], "artifact_bundle": None,
+                "_sidx": []}
+
+    def analysis_columns(self) -> Dict[str, object]:
+        n = self.payload["n"]
+        bundle = self._attach(
+            "analysis_artifact",
+            lambda bundle: artifacts.is_analysis_bundle(bundle, n))
+        if bundle is not None:
+            dead = bundle.bools("dead")
+            direct = bundle.bools("direct")
+            fused_doc = artifacts.fused_doc_from_bundle(bundle)
+            bundle.close()
+        else:
+            payload = self.payload
+            dead = _bytes_to_bools(payload["dead"])
+            direct = _bytes_to_bools(payload["direct"])
+            fused_doc = payload["fused"]
+        return {"dead": dead, "direct": direct,
+                "fused": _doc_to_fused(fused_doc, dead, direct,
+                                       self.payload["counts"])}
+
+    def _attach(self, name: str,
+                complete: Callable[[artifacts.ColumnBundle], bool]
+                ) -> Optional[artifacts.ColumnBundle]:
+        """The bundle of the payload's handle *name*, or ``None`` when
+        the payload carries the columns instead (after the fallback, if
+        the handle did not attach)."""
+        handle = self.payload.get(name)
+        if handle is None:
+            return None
+        bundle = (self.plane.attach_handle(handle)
+                  if self.plane is not None else None)
+        if bundle is not None and complete(bundle):
+            return bundle
+        if bundle is not None:
+            bundle.close()
+        if self.plane is not None:
+            self.plane.counters["fallbacks"] += 1
+        self.payload = _compute_cell_payload(self.spec, self.config,
+                                             self.cache, (), plane=None)
+        return None
+
+
+class _LazyTrace(Trace):
+    """A materialized cell's trace.  Its length is known at once; its
+    program and columns load on first use (:class:`_CellLoader`)."""
+
+    program = _OnFirstUse("program")
+    pcs = _OnFirstUse("trace_columns")
+    taken = _OnFirstUse("trace_columns")
+    addrs = _OnFirstUse("trace_columns")
+    _sidx = _OnFirstUse("trace_columns")
+    artifact_bundle = _OnFirstUse("trace_columns")
+
+    def __init__(self, loader: _CellLoader, n: int):
+        # Trace.__init__ does not run: the loader sets what it would.
+        self._loader = loader
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+
+class _LazyAnalysis(DeadnessAnalysis):
+    """A materialized cell's analysis.  Its counts are known at once;
+    its static table and columns load on first use."""
+
+    statics = _OnFirstUse("statics")
+    dead = _OnFirstUse("analysis_columns")
+    direct = _OnFirstUse("analysis_columns")
+    fused = _OnFirstUse("analysis_columns")
+
+    def __init__(self, trace: _LazyTrace, loader: _CellLoader,
+                 counts: Dict[str, int]):
+        self.trace = trace
+        self._loader = loader
+        self.__dict__.update(counts)
 
 
 def _materialize_payload(spec: CellSpec, payload: Dict[str, object],
@@ -680,18 +788,22 @@ def _materialize_payload(spec: CellSpec, payload: Dict[str, object],
                          cache: Optional[CacheDir],
                          plane: Optional[artifacts.ArtifactPlane]
                          ) -> CellArtifact:
-    """Materialize a payload, degrading gracefully when a shipped
-    artifact handle no longer attaches: the cell recomputes through
-    the pickle tier (which itself falls back to emulation), so a
-    damaged plane can cost time but never a result."""
-    try:
-        return _payload_to_artifact(spec, payload, plane)
-    except artifacts.ArtifactUnavailable:
-        if plane is not None:
-            plane.counters["fallbacks"] += 1
-        payload = _compute_cell_payload(spec, config, cache, (),
-                                        plane=None)
-        return _payload_to_artifact(spec, payload, None)
+    """The cell a payload describes, the same for serial, pooled and
+    cache-hit payloads.  Its keys, output, length and analysis counts
+    are set now; its program, static table and columns load on first
+    use, from the payload's columns or by re-attaching the plane
+    bundles its handles name (:class:`_CellLoader`, which also falls
+    back to the pickle tier).  So a cell whose results all come from
+    stage hits loads none of them."""
+    loader = _CellLoader(spec, payload, config, cache, plane)
+    trace = _LazyTrace(loader, payload["n"])
+    return CellArtifact(
+        spec=spec, trace=trace,
+        analysis=_LazyAnalysis(trace, loader, payload["counts"]),
+        output=payload["output"],
+        compile_key=payload["compile_key"],
+        trace_key=payload["trace_key"],
+        analysis_key=payload["analysis_key"])
 
 
 def _analysis_fingerprint(analysis: DeadnessAnalysis) -> str:
@@ -1025,23 +1137,26 @@ class Engine:
 
     def simulate(self, trace: Trace, machine_config: MachineConfig,
                  analysis: Optional[DeadnessAnalysis] = None,
-                 trace_key: Optional[str] = None) -> PipelineResult:
+                 trace_key: Optional[str] = None,
+                 name: Optional[str] = None) -> PipelineResult:
         """The cached timing stage (:func:`_timing_stage` below the
         memo).  Without a *trace_key* (ad-hoc traces) the simulation
-        runs uncached and is no stage event."""
+        runs uncached and is no stage event.  *name* labels the stage
+        span and the timeline (default: the trace's program name); a
+        cell passes its workload, so a hit loads nothing."""
+        if name is None:
+            name = trace.program.name
         if trace_key is None:
             result = simulate(trace, machine_config, analysis)
             self._note_timeline(
-                "adhoc:%s:%s" % (trace.program.name,
-                                 machine_config.to_key()),
-                trace, machine_config, result)
+                "adhoc:%s:%s" % (name, machine_config.to_key()),
+                name, machine_config, result)
             return result
         key = _simulate_key(trace_key, machine_config, analysis)
         started = time.perf_counter()
         result = self._sim_memo.get(key)
         hit = result is not None
-        attrs = {"workload": trace.program.name,
-                 "variant": _variant(machine_config)}
+        attrs = {"workload": name, "variant": _variant(machine_config)}
         if not hit:
             result, hit, reused = _timing_stage(
                 self.cache, self._certified, key, trace_key, trace,
@@ -1051,21 +1166,20 @@ class Engine:
                 attrs["reused"] = True
         self.note_stage("timing", hit, time.perf_counter() - started,
                         **attrs)
-        self._note_timeline(key, trace, machine_config, result)
+        self._note_timeline(key, name, machine_config, result)
         return result
 
     @staticmethod
-    def _note_timeline(key: str, trace: Trace,
+    def _note_timeline(key: str, name: str,
                        machine_config: MachineConfig,
                        result: PipelineResult) -> None:
-        """Register an observed simulation's sampled pipeline timeline.
-        It rides inside the cached :class:`PipelineResult`, so hits
-        register it too; the collector deduplicates repeat requests by
-        *key*."""
+        """Register an observed simulation's sampled pipeline timeline
+        under the workload *name*.  It rides inside the cached
+        :class:`PipelineResult`, so hits register it too; the collector
+        deduplicates repeat requests by *key*."""
         collector = obs.get_collector()
         timeline_doc = getattr(result, "timeline", None)
         if collector is not None and timeline_doc:
-            name = trace.program.name
             collector.add_timeline(
                 key, "%s/%s" % (name, _variant(machine_config)), name,
                 timeline_doc, result.stats.to_dict())
@@ -1134,7 +1248,7 @@ class Engine:
                           stage_salt("paths"))
         return self.cached_stage(
             "paths", key, lambda paths: isinstance(paths, PathInfo),
-            compute, workload=run.trace.program.name)
+            compute, workload=run.spec.workload)
 
     def cached_stage(self, stage: str, key: str,
                      accept: Optional[Callable[[object], bool]],
@@ -1170,6 +1284,7 @@ class Engine:
         self._sim_memo.clear()
         self._certified.clear()
         _PROGRAM_MEMO.clear()
+        _INPUTS.clear()
 
     def describe(self) -> Dict[str, object]:
         """Engine configuration for run metadata."""

@@ -29,9 +29,7 @@ supervision all apply unchanged.
 from __future__ import annotations
 
 import difflib
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Callable, Dict, List, Tuple
 
 from repro.analysis import classify_statics, locality_stats
@@ -45,7 +43,6 @@ from repro.harness.runtable import (
 )
 from repro.harness.sweep import elim_variant
 from repro.harness.tables import Table, percent, signed_percent
-from repro.kernels.base import PredictionStream
 from repro.pipeline import (
     MachineConfig,
     contended_config,
@@ -872,34 +869,10 @@ _A6_KEYS = ("steady", "b0_2k", "b2k_4k", "b4k_8k", "b8k")
 
 def _a6_measure(ctx: RunTableContext, point) -> Dict[str, object]:
     run = ctx.run_for(point["workload"].payload)
-    paths = ctx.paths_for(run, 3)
-    stream = ctx.stream_for(run)
-    index = stream.eligible_index
-    dead = stream.eligible_dead
-    midpoint = len(run.trace) // 2
-    window = _A6_WINDOW
-    # Predictor state only changes on eligible events, so flushing at
-    # the first eligible instance past the midpoint is identical to
-    # flushing exactly at the midpoint: each half of the stream is
-    # walked by a fresh predictor (the second after the context
-    # switch).
-    flush = bisect_left(index, midpoint)
-    predictions: List[bool] = []
-    for start, stop in ((0, flush), (flush, len(index))):
-        half = PredictionStream(eligible_index=index[start:stop],
-                                eligible_pc=stream.eligible_pc[start:stop],
-                                eligible_dead=dead[start:stop])
-        predictions += PathDeadPredictor().walk(half, paths)
-    # Bucket edges in dynamic instructions, one bucket per key; only
-    # warmed-up pre-flush instructions (past four windows) count.
-    edges = (4 * window + 1, midpoint, midpoint + window,
-             midpoint + 2 * window, midpoint + 4 * window)
-    bounds = [bisect_left(index, edge) for edge in edges] + [len(index)]
     metrics: Dict[str, object] = {}
-    for key, start, stop in zip(_A6_KEYS, bounds, bounds[1:]):
-        metrics["%s_hits" % key] = sum(compress(predictions[start:stop],
-                                                dead[start:stop]))
-        metrics["%s_dead" % key] = sum(dead[start:stop])
+    for key, (hits, dead) in zip(_A6_KEYS, ctx.warmup(run, _A6_WINDOW)):
+        metrics["%s_hits" % key] = hits
+        metrics["%s_dead" % key] = dead
     hits, dead_count = metrics["b0_2k_hits"], metrics["b0_2k_dead"]
     metrics["post_flush_coverage"] = \
         hits / dead_count if dead_count else 0.0

@@ -49,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-from repro import kernels, obs
+from repro import obs
 from repro.harness import stats as statistics
 from repro.harness import sweep
 from repro.harness.engine import CellArtifact, Engine, get_engine
@@ -287,18 +287,17 @@ class RunTableContext:
             self._paths[key] = paths
         return paths
 
-    def stream_for(self, run: CellArtifact):
-        """The cell's per-PC prediction event stream (kernel-extracted,
-        memoized on the analysis object)."""
-        return kernels.prediction_stream_for(run.analysis)
-
     def predict(self, run: CellArtifact, predictor, path_bits: int):
         return sweep.predict(self.engine, run, predictor, path_bits,
                              self.paths_for)
 
+    def warmup(self, run: CellArtifact, window: int):
+        return sweep.warmup(self.engine, run, window, self.paths_for)
+
     def simulate(self, run: CellArtifact, config: MachineConfig):
         return self.engine.simulate(run.trace, config, run.analysis,
-                                    trace_key=run.trace_key)
+                                    trace_key=run.trace_key,
+                                    name=run.spec.workload)
 
     def pair(self, run: CellArtifact, config: MachineConfig,
              elim_overrides: Dict[str, object] = None):
@@ -335,22 +334,31 @@ class RunTableResult:
     repetitions: int
     cells: List[CellResult] = field(default_factory=list)
     seconds: float = 0.0
+    #: (queried factor names, cell count) -> {(rep or None, their
+    #: labels): cells in grid order}; see :meth:`cells_at`
+    _index: Dict[tuple, Dict[tuple, List[CellResult]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- cell access (summarize hooks) --------------------------------
 
     def cells_at(self, rep: Optional[int] = 0,
                  **labels: str) -> List[CellResult]:
-        """Cells matching the given factor labels (``rep=None`` spans
-        all repetitions; the default selects the canonical first
-        repetition)."""
-        out = []
-        for cell in self.cells:
-            if rep is not None and cell.rep != rep:
-                continue
-            if all(cell.labels.get(name) == label
-                   for name, label in labels.items()):
-                out.append(cell)
-        return out
+        """Cells matching the given factor labels, in grid order
+        (``rep=None`` spans all repetitions; the default selects the
+        canonical first repetition).  The first query over a set of
+        factor names indexes every cell by those labels, so a summary
+        costs one pass over the grid per set of names it queries."""
+        names = tuple(sorted(labels))
+        index = self._index.get((names, len(self.cells)))
+        if index is None:
+            index = {}
+            for cell in self.cells:
+                values = tuple(cell.labels.get(name) for name in names)
+                index.setdefault((cell.rep, values), []).append(cell)
+                index.setdefault((None, values), []).append(cell)
+            self._index[(names, len(self.cells))] = index
+        return list(index.get(
+            (rep, tuple(labels[name] for name in names)), ()))
 
     def cell(self, rep: int = 0, **labels: str) -> CellResult:
         """Exactly one cell; raises if the labels are ambiguous."""

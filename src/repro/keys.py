@@ -15,11 +15,16 @@ name, values rendered by :func:`value_key` (primitives via ``repr``,
 nested dataclasses recursively, containers element-wise).  Unsupported
 value types raise ``TypeError`` loudly instead of producing an
 unstable key.
+
+:func:`config_key` is memoized per process on the config's exact value
+(:func:`_exact`): a warm experiment pass asks for the key of the same
+few machine and compiler configs hundreds of times.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
+from typing import Dict, Hashable, Tuple
 
 __all__ = ["config_key", "value_key"]
 
@@ -51,6 +56,45 @@ def value_key(value: object) -> str:
         (value, type(value).__name__))
 
 
+#: types whose values compare equal only to values that render the
+#: same, once the type is attached (``True == 1``, but not with types)
+_PLAIN = frozenset((bool, int, str, type(None)))
+
+#: dataclass type -> its field names
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _exact(value: object) -> Hashable:
+    """*value* with its type attached at every level, as a memo key.
+    Values that compare equal but render differently stay apart:
+    ``True``, ``1`` and ``1.0`` by their types, ``0.0`` and ``-0.0`` by
+    their hex form.  Other value types (dicts, sets, subclasses) raise
+    ``TypeError``, and the caller then skips the memo."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return kind, value
+    if kind is float:
+        return kind, value.hex()
+    if is_dataclass(value) and not isinstance(value, type):
+        names = _FIELD_NAMES.get(kind)
+        if names is None:
+            names = _FIELD_NAMES[kind] = tuple(f.name for f in fields(value))
+        items = tuple([getattr(value, name) for name in names])
+    elif kind in (tuple, list):
+        items = tuple(value)
+    else:
+        raise TypeError("no exact memo key for %s" % kind.__name__)
+    types = tuple(map(type, items))
+    if not _PLAIN.issuperset(types):
+        items = tuple(item if type(item) in _PLAIN else _exact(item)
+                      for item in items)
+    return kind, types, items
+
+
+#: exact config value (:func:`_exact`) -> its key, per process
+_KEYS: Dict[Hashable, str] = {}
+
+
 def config_key(config: object) -> str:
     """Canonical key string for a config dataclass instance.
 
@@ -60,6 +104,15 @@ def config_key(config: object) -> str:
     if not is_dataclass(config) or isinstance(config, type):
         raise TypeError("config_key expects a dataclass instance, got %r"
                         % (config,))
-    parts = ["%s=%s" % (f.name, value_key(getattr(config, f.name)))
-             for f in sorted(fields(config), key=lambda f: f.name)]
-    return "%s(%s)" % (type(config).__name__, ",".join(parts))
+    try:
+        exact = _exact(config)
+        key = _KEYS.get(exact)
+    except TypeError:
+        exact = key = None
+    if key is None:
+        parts = ["%s=%s" % (f.name, value_key(getattr(config, f.name)))
+                 for f in sorted(fields(config), key=lambda f: f.name)]
+        key = "%s(%s)" % (type(config).__name__, ",".join(parts))
+        if exact is not None:
+            _KEYS[exact] = key
+    return key

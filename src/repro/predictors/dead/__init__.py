@@ -16,11 +16,15 @@ predicted and the actual outcomes of its next-N branches;
 :func:`evaluate_predictor` runs any predictor's ``walk`` over a
 labelled trace and reports accuracy (correct dead predictions / all dead predictions) and
 coverage (dead instructions identified / all dead instructions), the
-paper's two headline metrics.
+paper's two headline metrics; :func:`evaluate_warmup` measures how fast
+a flushed predictor recovers them.
 """
 
 from repro.predictors.dead.base import DeadPredictionStats, DeadPredictor
-from repro.predictors.dead.evaluate import evaluate_predictor
+from repro.predictors.dead.evaluate import (
+    evaluate_predictor,
+    evaluate_warmup,
+)
 from repro.predictors.dead.paths import PathInfo, compute_paths
 from repro.predictors.dead.profile import ProfileDeadPredictor
 from repro.predictors.dead.table import (
@@ -43,4 +47,5 @@ __all__ = [
     "SignatureDeadPredictor",
     "compute_paths",
     "evaluate_predictor",
+    "evaluate_warmup",
 ]

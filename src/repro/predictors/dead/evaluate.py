@@ -13,11 +13,18 @@ accuracy/coverage it is irrelevant.
 
 The statistics and the optional probe's confusion counts are derived
 in bulk from the walk's predictions column.
+
+:func:`evaluate_warmup` measures how fast a cold predictor re-learns:
+fresh predictors walk the two halves of one stream, as after a context
+switch at the trace's midpoint.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from itertools import compress
+from typing import Callable, List, Tuple
 
 from repro import kernels, obs
 from repro.analysis.liveness import DeadnessAnalysis
@@ -79,3 +86,39 @@ def evaluate_predictor(analysis: DeadnessAnalysis,
 
     stats.tally(predictions, stream.eligible_dead)
     return stats
+
+
+def evaluate_warmup(new_predictor: Callable[[], DeadPredictor],
+                    stream: PredictionStream, paths: PathInfo,
+                    n_dynamic: int, window: int
+                    ) -> Tuple[Tuple[int, int], ...]:
+    """Predictor warm-up after a cold start, over one trace of
+    *n_dynamic* instructions.
+
+    A fresh ``new_predictor()`` walks each half of *stream*: its state
+    is cleared at the trace's midpoint, as a context switch would.  The
+    result is ``(hits, dead)`` (dead instances predicted dead, dead
+    instances) per phase, in dynamic instructions with ``w = window``:
+    the warmed-up steady state before the flush (past the first
+    ``4w``), then ``[0, w)``, ``[w, 2w)``, ``[2w, 4w)`` and from ``4w``
+    on after it.
+    """
+    index = stream.eligible_index
+    dead = stream.eligible_dead
+    midpoint = n_dynamic // 2
+    # Predictor state only changes on eligible events, so flushing at
+    # the first eligible instance past the midpoint is identical to
+    # flushing exactly at the midpoint.
+    flush = bisect_left(index, midpoint)
+    predictions: List[bool] = []
+    for start, stop in ((0, flush), (flush, len(index))):
+        half = PredictionStream(eligible_index=index[start:stop],
+                                eligible_pc=stream.eligible_pc[start:stop],
+                                eligible_dead=dead[start:stop])
+        predictions += new_predictor().walk(half, paths)
+    edges = (4 * window + 1, midpoint, midpoint + window,
+             midpoint + 2 * window, midpoint + 4 * window)
+    bounds = [bisect_left(index, edge) for edge in edges] + [len(index)]
+    return tuple((sum(compress(predictions[start:stop], dead[start:stop])),
+                  sum(dead[start:stop]))
+                 for start, stop in zip(bounds, bounds[1:]))

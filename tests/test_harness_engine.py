@@ -54,6 +54,39 @@ class TestCacheKeys:
         with pytest.raises(TypeError):
             value_key(object())
 
+    def test_memo_keeps_equal_values_of_other_types_apart(self):
+        """``True == 1 == 1.0`` and ``0.0 == -0.0``, also inside
+        containers and nested configs, but each renders its own key,
+        whichever of them is keyed first."""
+        from dataclasses import dataclass
+
+        from repro.keys import config_key
+
+        def knob_class():
+            # A class per order: the memo has seen none of its values.
+            @dataclass(frozen=True)
+            class Knob:
+                value: object = 0
+            return Knob
+
+        values = (True, 1, 1.0, 0.0, -0.0, (1,), (True,), (1.0,),
+                  frozenset({1}), frozenset({True}), "1")
+        expected = ["True", "1", "1.0", "0.0", "-0.0", "[1]", "[True]",
+                    "[1.0]", "{1}", "{True}", "'1'"]
+        for order in (range(len(values)), range(len(values) - 1, -1, -1)):
+            knob = knob_class()
+            nested = knob_class()
+            keys = {}
+            for index in order:
+                keys[index] = (config_key(knob(values[index])),
+                               config_key(knob(nested(values[index]))))
+            assert [keys[index] for index in range(len(values))] == [
+                ("Knob(value=%s)" % text,
+                 "Knob(value=Knob(value=%s))" % text)
+                for text in expected]
+        # An unhashable value is keyed without the memo.
+        assert config_key(knob([1, {2: 3}])) == "Knob(value=[1,{2:3}])"
+
 
 class TestStageCache:
     def test_hit_on_identical_inputs(self, tmp_path):
@@ -196,7 +229,6 @@ class TestParallel:
         assert hot.stats.misses("trace") == 0
 
     def test_prefetch_then_serial_read(self, tmp_path):
-        from repro.harness.engine import _payload_to_artifact  # noqa
         engine = make_engine(tmp_path, jobs=2)
         arts = engine.run_cells([spec(), spec(workload="sort")])
         config = contended_config()
@@ -239,6 +271,76 @@ class TestSuite:
         trace = second.stats.counts["trace"]
         assert trace["hits"] + trace["misses"] == 10
         assert list(second.cache.iter_entries())
+
+
+class TestLateLoads:
+    """A materialized cell sets its keys, length and counts at once and
+    loads its program and columns on first use, so a plane bundle can
+    vanish or rot between materializing a cell and reading it."""
+
+    NAMES = ("sort", "rle", "crc")
+
+    def test_columns_load_on_first_use(self, tmp_path):
+        specs = [spec(workload=name) for name in self.NAMES]
+        cold = make_engine(tmp_path).run_cells(specs)
+        hot_engine = make_engine(tmp_path)
+        hot = hot_engine.run_cells(specs)
+        attached = hot_engine.plane.counters["attach_hits"]
+        for warm, fresh in zip(hot, cold):
+            assert not {"program", "pcs", "taken", "addrs"} & set(
+                vars(warm.trace))
+            assert not {"statics", "dead", "direct", "fused"} & set(
+                vars(warm.analysis))
+            assert len(warm.trace) == len(fresh.trace.pcs)
+            assert warm.analysis.n_dead == fresh.analysis.n_dead
+        assert hot_engine.plane.counters["attach_hits"] == attached
+        first = hot[0]
+        assert first.trace.pcs == cold[0].trace.pcs
+        assert first.trace.taken == cold[0].trace.taken
+        assert hot_engine.plane.counters["attach_hits"] == attached + 1
+        assert first.analysis.dead == cold[0].analysis.dead
+        assert first.trace.static_indices() == \
+            cold[0].trace.static_indices()
+        assert hot_engine.plane.counters["attach_hits"] == attached + 2
+        assert first.analysis.statics.program is first.trace.program
+
+    def test_damaged_bundles_fall_back_to_the_pickle_tier(self, tmp_path):
+        """Bundles deleted or corrupted after materialization: the
+        first column access recomputes the cell through the pickle
+        tier, counts one fallback per cell, and simulation and predict
+        results equal a clean run's."""
+        from repro.harness import artifacts
+        from repro.harness.runtable import RunTableContext
+        from repro.predictors import PathDeadPredictor
+
+        specs = [spec(workload=name) for name in self.NAMES]
+        make_engine(tmp_path).run_cells(specs)
+        clean = RunTableContext(SCALE, engine=make_engine(
+            tmp_path, cache=False))
+        hot = RunTableContext(SCALE, engine=make_engine(tmp_path))
+        cells = hot.engine.run_cells(specs)
+        plane = hot.engine.plane
+        sort, rle, _crc = cells
+        os.remove(plane.entry_path(
+            artifacts.artifact_key("trace", sort.trace_key)))
+        path = pathlib.Path(plane.entry_path(
+            artifacts.artifact_key("analysis", rle.analysis_key)))
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        artifacts._reset_verified()
+
+        config = contended_config()
+        for cell, reference in zip(cells,
+                                   clean.engine.run_cells(specs)):
+            for got, want in zip(hot.pair(cell, config),
+                                 clean.pair(reference, config)):
+                assert got.stats == want.stats
+            assert hot.predict(cell, PathDeadPredictor(), 3) == \
+                clean.predict(reference, PathDeadPredictor(), 3)
+        robust = hot.engine.robustness()["artifacts"]
+        assert robust["fallbacks"] == 2
+        assert robust["quarantined"] == 1
 
 
 class TestTimingStage:

@@ -7,6 +7,7 @@ expansion, repetition seeding, statistics — plus the promoted
 workload generator and the new CLI surface.
 """
 
+import dataclasses
 import json
 import math
 
@@ -132,6 +133,28 @@ class TestExecutor:
         assert len(result.cells_at(rep=None, x="2", y="5")) == 2
         with pytest.raises(KeyError):
             result.cell(x="2")  # ambiguous: two y levels
+
+    def test_lookups_on_a_grid_with_repetitions(self):
+        result = RunTableExecutor(_toy_table(), repetitions=3).run()
+        assert result.cell(rep=2, x="3", y="4")["value"] == 36
+        assert [cell["value"] for cell in result.cells_at(
+            rep=None, x="2", y="5")] == [25, 26, 27]
+        # rep=None spans every repetition, in grid order.
+        assert [(cell.rep, cell.labels["y"]) for cell in result.cells_at(
+            rep=None, x="1")] == [(0, "4"), (0, "5"), (1, "4"), (1, "5"),
+                                  (2, "4"), (2, "5")]
+        assert [cell.labels for cell in result.cells_at(rep=1)] == \
+            [cell.labels for cell in result.cells if cell.rep == 1]
+        assert result.cells_at(rep=3, x="1") == []
+        with pytest.raises(KeyError, match="found 2"):
+            result.cell(rep=1, x="2")  # two y levels
+        with pytest.raises(KeyError, match="found 0"):
+            result.cell(x="9", y="4")
+        with pytest.raises(KeyError, match="found 3"):
+            result.cell(rep=None, x="2", y="5")
+        # A cell added after a lookup is found by the next one.
+        result.cells.append(dataclasses.replace(result.cells[0], rep=3))
+        assert result.cell(rep=3, x="1", y="4")["value"] == 14
 
     def test_groups_and_samples(self):
         result = RunTableExecutor(_toy_table()).run()

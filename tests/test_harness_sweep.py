@@ -1,13 +1,15 @@
-"""The run-table context's sweep path: the cached predict stage
-equals direct evaluation, cold and hot; shared state is memoized
-across sweep points; a cold cell crosses every span site that the
-end-to-end benchmark wraps."""
+"""The run-table context's sweep path: the cached predict stage (and
+A6's warm-up cells in it) equals direct evaluation, cold and hot;
+shared state is memoized across sweep points; a cold cell crosses
+every span site that the end-to-end benchmark wraps, and a warm pass
+crosses only the cache and the program its tables render from."""
 
 from __future__ import annotations
 
 import dataclasses
 import glob
 import importlib
+import importlib.util
 import os
 
 import pytest
@@ -34,7 +36,9 @@ from repro.predictors import (
     compute_paths,
     evaluate_predictor,
 )
+from repro.predictors.dead import evaluate_warmup
 from repro.predictors.dead.table import SignatureDeadPredictor
+from repro.workloads import workload_names
 
 SCALE = 0.3
 
@@ -119,10 +123,6 @@ class TestPredictorSweep:
         # Different geometry -> different memo cell.
         assert ctx.paths_for(runs[0], 5) is not first
 
-    def test_stream_memoized_per_run(self, ctx, runs):
-        first = ctx.stream_for(runs[0])
-        assert ctx.stream_for(runs[0]) is first
-
     def test_garbage_entry_is_quarantined_and_recomputed(self, tmp_path,
                                                          runs):
         expected = make_context(tmp_path).predict(
@@ -173,6 +173,48 @@ class TestPredictorSweep:
         stats = ctx.predict(keyless, PathDeadPredictor(), 3)
         assert stats == ctx.predict(run, PathDeadPredictor(), 3)
         assert ctx.engine.stats.misses("predict") == 1
+
+
+class TestWarmupStage:
+    """A6's cells: fresh path predictors flushed at the midpoint,
+    through the cached ``predict`` stage."""
+
+    def test_matches_direct_computation_cold_and_hot(self, tmp_path,
+                                                     runs):
+        direct = [evaluate_warmup(
+            PathDeadPredictor, kernels.prediction_stream_for(run.analysis),
+            compute_paths(run.trace, run.analysis.statics, path_bits=3),
+            len(run.trace), 2000)
+            for run in runs]
+        assert all(len(phases) == 5 for phases in direct)
+        cold = make_context(tmp_path)
+        hot = make_context(tmp_path)
+        for context in (cold, hot):
+            assert [context.warmup(run, 2000) for run in runs] == direct
+        assert cold.engine.stats.misses("predict") == len(runs)
+        assert hot.engine.stats.hits("predict") == len(runs)
+        assert hot.engine.stats.misses("predict") == 0
+
+    def test_window_and_design_are_in_the_key(self, ctx, runs):
+        run = runs[0]
+        ctx.warmup(run, 2000)
+        ctx.warmup(run, 1000)
+        # The plain predict cell of the same predictor is another entry.
+        ctx.predict(run, PathDeadPredictor(), 3)
+        ctx.warmup(run, 2000)
+        assert ctx.engine.stats.misses("predict") == 3
+        assert ctx.engine.stats.hits("predict") == 1
+
+    def test_observed_run_walks(self, tmp_path, runs):
+        expected = make_context(tmp_path).warmup(runs[0], 2000)
+        obs.configure_obs(obs.ObsConfig())
+        try:
+            observed = make_context(tmp_path)
+            assert observed.warmup(runs[0], 2000) == expected
+        finally:
+            obs.reset_obs()
+        assert observed.engine.stats.misses("predict") == 1
+        assert observed.engine.stats.hits("predict") == 0
 
 
 def test_warm_predictor_experiments_walk_nothing(tmp_path, monkeypatch):
@@ -248,3 +290,87 @@ def test_cold_cell_crosses_every_span_site(tmp_path, monkeypatch):
     context.predict(run, PathDeadPredictor(), 3)
     context.pair(run, contended_config())
     assert [site for site, count in calls.items() if not count] == []
+
+
+def _benchmark_sites():
+    """(module, attribute) of every name ``benchmarks/e2e/spans.py``
+    wraps, read from the benchmark itself."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "benchmarks", "e2e", "spans.py")
+    spec = importlib.util.spec_from_file_location("e2e_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return sorted({(module, attribute)
+                   for module, attribute, _name, _measure in spans.SITES})
+
+
+#: sites a warm pass may cross: the cache, the plane, the engine's cell
+#: entry points, and the assembler for the cells whose static tables
+#: the tables read
+WARM_SITES = {
+    ("repro.harness.cachedir", "CacheDir.load"),
+    ("repro.harness.artifacts", "ArtifactPlane.attach"),
+    ("repro.harness.artifacts", "ArtifactPlane.attach_handle"),
+    ("repro.harness.engine", "Engine.run_cells"),
+    ("repro.harness.engine", "Engine.prefetch_simulations"),
+    ("repro.harness.engine", "assemble"),
+}
+
+
+def test_warm_pass_reads_only_what_it_renders(tmp_path, monkeypatch):
+    """A warm F1 F3 F5 A4 A5 A6 E2 pass on a fresh engine renders what
+    the cold pass rendered while it simulates, streams, walks, compiles
+    and stores nothing, assembles only the programs whose static tables
+    F3 reads (its -O2 cells), and loads no column of a cell whose
+    results all come from stage hits or counts."""
+    identifiers = ("F1", "F3", "F5", "A4", "A5", "A6", "E2")
+    scale = 0.1
+
+    def run_pass():
+        engine = configure(EngineConfig(
+            jobs=1, cache=True, cache_dir=str(tmp_path / "cache")))
+        # A fresh process: no program or input memoized either.
+        engine.clear_memos()
+        return engine, [run_experiment(identifier, scale=scale).render()
+                        for identifier in identifiers]
+
+    try:
+        _cold, cold = run_pass()
+        calls = {}
+        assembled = []
+        sites = _benchmark_sites() + [
+            ("repro.predictors.dead.table", "PathDeadPredictor.walk")]
+        for site in sites:
+            owner = importlib.import_module(site[0])
+            *path, leaf = site[1].split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            original = getattr(owner, leaf)
+            calls[site] = 0
+
+            def counting(*args, _site=site, _original=original, **kwargs):
+                calls[_site] += 1
+                if _site == ("repro.harness.engine", "assemble"):
+                    assembled.append(kwargs["name"])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, leaf, counting)
+        engine, warm = run_pass()
+    finally:
+        reset_engine()
+    assert warm == cold
+    assert {site: count for site, count in calls.items()
+            if count and site not in WARM_SITES} == {}
+    assert sorted(assembled) == sorted(workload_names())
+
+    def loaded(cell):
+        return sorted(({"pcs", "taken", "addrs"} & set(vars(cell.trace)))
+                      | ({"dead", "direct", "fused"}
+                         & set(vars(cell.analysis))))
+
+    for options in ({"opt_level": 0, "max_hoist": 1},  # A4 hoist 0
+                    {"max_hoist": 2}, {"max_hoist": 8},  # A4 hoist 2, 8
+                    {"opt_level": 0},  # the -O0 reference and F3's -O0
+                    {"scalar_opt": True}):  # A5
+        for cell in engine.suite(scale, CompilerOptions(**options)):
+            assert loaded(cell) == [], cell.spec.describe()

@@ -178,6 +178,13 @@ _WIDE_FOLDS = [
     ("0xFFFFFFFF", "/", "2"),
     ("7", "/", "0xFFFFFFFF"),
     ("0xFFFFFFF9", "%", "4"),
+    # Folded operands that overflow 32 bits through +, unary -, ~ and
+    # << before the outer operation reads them.
+    ("2147483647 + 1", "<", "0"),
+    ("-(-2147483647 - 1)", "<", "0"),
+    ("~0x7fffffff", "<", "0"),
+    ("1 << 31", "/", "2"),
+    ("0x10000*0x10000 + 5", "%", "3"),
 ]
 
 
